@@ -35,7 +35,9 @@
 //!                                 SDC/hang taxonomy, checker-internal fault
 //!                                 sites, crash-safe resumable checkpointing
 //! warped bench     [--check]      throughput harness -> BENCH_simulator.json
-//! warped all       [--paper]      everything above, in order
+//! warped all       [--paper]      tables, figures, profile, faults and
+//!                                 ablations, in order (deterministic: the
+//!                                 `--paper` output is `experiments_paper.txt`)
 //! ```
 //!
 //! Default scale is `--quick` (Small inputs, 4 SMs); `--paper` selects
@@ -521,8 +523,10 @@ fn run_command(args: &Args) -> Result<(), ExperimentError> {
             );
         }
         "all" => {
+            // No `bench`: its wall-clock block would make the transcript
+            // non-deterministic, and it rewrites BENCH_simulator.json.
             for cmd in [
-                "table1", "config", "figures", "profile", "faults", "ablation", "bench",
+                "table1", "config", "figures", "profile", "faults", "ablation",
             ] {
                 run_command(&Args {
                     command: cmd.to_string(),

@@ -74,19 +74,7 @@ impl ProgramRun {
     /// Fold one launch's statistics into the accumulated totals
     /// (cycles add up because launches are sequential).
     pub fn absorb(&mut self, s: &RunStats) {
-        self.stats.cycles += s.cycles;
-        self.stats.warp_instructions += s.warp_instructions;
-        self.stats.thread_instructions += s.thread_instructions;
-        self.stats.idle_cycles += s.idle_cycles;
-        self.stats.stall_cycles += s.stall_cycles;
-        for u in 0..3 {
-            self.stats.unit_instructions[u] += s.unit_instructions[u];
-            self.stats.unit_thread_instructions[u] += s.unit_thread_instructions[u];
-        }
-        self.stats.reg_reads += s.reg_reads;
-        self.stats.reg_writes += s.reg_writes;
-        self.stats.blocks += s.blocks;
-        self.stats.dual_issues += s.dual_issues;
+        self.stats.merge(s);
         self.launches += 1;
     }
 }
@@ -354,6 +342,18 @@ mod tests {
         let cats: std::collections::BTreeSet<&str> =
             Benchmark::ALL.iter().map(|b| b.category()).collect();
         assert_eq!(cats.len(), 6);
+    }
+
+    #[test]
+    fn multi_launch_bfs_keeps_per_sm_cycles() {
+        let config = GpuConfig::small();
+        let w = Benchmark::Bfs.build(WorkloadSize::Tiny).unwrap();
+        let run = w.run_with(&config, &mut warped_sim::NullObserver).unwrap();
+        assert!(run.launches > 1, "BFS launches once per level");
+        assert_eq!(run.stats.sm_cycles.len(), config.num_sms);
+        let slowest = run.stats.sm_cycles.iter().copied().max().unwrap();
+        assert!(slowest <= run.stats.cycles);
+        assert!(slowest > 0);
     }
 
     #[test]

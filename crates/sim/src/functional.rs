@@ -1,13 +1,121 @@
 //! Pure functional semantics of every opcode.
 //!
-//! These helpers compute one lane's result; the SM drives them per active
-//! lane. Keeping them pure makes the ISA semantics independently testable
-//! and lets the fault-injection campaign re-derive "golden" values.
+//! The scalar `eval_*` helpers compute one lane's result and are the one
+//! definition of each opcode's semantics. Keeping them pure makes the ISA
+//! semantics independently testable and lets the fault-injection campaign
+//! re-derive "golden" values.
+//!
+//! The SM executes a whole warp at once through the `*_lanes` evaluators:
+//! each matches its opcode once, then runs a branch-free loop over all 32
+//! lanes that calls the scalar helper with the opcode fixed, so the
+//! compiler specialises the loop per opcode. Inactive lanes are computed
+//! too (every helper is total: wrapping integer ops, masked shifts,
+//! checked division); the SM discards them.
 
+use crate::config::WARP_SIZE;
 use crate::value::{as_f32, f32_to_i32, f32_to_u32, fmax, fmin, from_f32};
 use warped_isa::{AluBinOp, AluUnOp, CmpOp, CmpType, SfuOp};
 
+/// One 32-bit value per lane of a warp.
+pub type Lanes = [u32; WARP_SIZE];
+
+#[inline(always)]
+fn map1(a: &Lanes, f: impl Fn(u32) -> u32) -> Lanes {
+    let mut out = [0; WARP_SIZE];
+    for (o, &x) in out.iter_mut().zip(a) {
+        *o = f(x);
+    }
+    out
+}
+
+#[inline(always)]
+fn map2(a: &Lanes, b: &Lanes, f: impl Fn(u32, u32) -> u32) -> Lanes {
+    let mut out = [0; WARP_SIZE];
+    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+        *o = f(x, y);
+    }
+    out
+}
+
+#[inline(always)]
+fn map3(a: &Lanes, b: &Lanes, c: &Lanes, f: impl Fn(u32, u32, u32) -> u32) -> Lanes {
+    let mut out = [0; WARP_SIZE];
+    for (((o, &x), &y), &z) in out.iter_mut().zip(a).zip(b).zip(c) {
+        *o = f(x, y, z);
+    }
+    out
+}
+
+/// [`eval_bin`] on every lane.
+pub fn bin_lanes(op: AluBinOp, a: &Lanes, b: &Lanes) -> Lanes {
+    macro_rules! per_op {
+        ($($v:ident)*) => {
+            match op {
+                $(AluBinOp::$v => map2(a, b, |x, y| eval_bin(AluBinOp::$v, x, y)),)*
+            }
+        };
+    }
+    per_op!(IAdd ISub IMul IMulHi IMin IMax UMin UMax And Or Xor Shl Shr Sra URem UDiv
+        FAdd FSub FMul FMin FMax)
+}
+
+/// [`eval_un`] on every lane.
+pub fn un_lanes(op: AluUnOp, a: &Lanes) -> Lanes {
+    macro_rules! per_op {
+        ($($v:ident)*) => {
+            match op {
+                $(AluUnOp::$v => map1(a, |x| eval_un(AluUnOp::$v, x)),)*
+            }
+        };
+    }
+    per_op!(Mov Not INeg FNeg FAbs CvtI2F CvtU2F CvtF2I CvtF2U Clz Popc)
+}
+
+/// [`eval_cmp`] on every lane.
+pub fn cmp_lanes(cmp: CmpOp, ty: CmpType, a: &Lanes, b: &Lanes) -> Lanes {
+    macro_rules! per_op {
+        ($t:ident: $($v:ident)*) => {
+            match cmp {
+                $(CmpOp::$v => map2(a, b, |x, y| eval_cmp(CmpOp::$v, CmpType::$t, x, y)),)*
+            }
+        };
+    }
+    match ty {
+        CmpType::I32 => per_op!(I32: Eq Ne Lt Le Gt Ge),
+        CmpType::U32 => per_op!(U32: Eq Ne Lt Le Gt Ge),
+        CmpType::F32 => per_op!(F32: Eq Ne Lt Le Gt Ge),
+    }
+}
+
+/// [`eval_sfu`] on every lane.
+pub fn sfu_lanes(op: SfuOp, a: &Lanes) -> Lanes {
+    macro_rules! per_op {
+        ($($v:ident)*) => {
+            match op {
+                $(SfuOp::$v => map1(a, |x| eval_sfu(SfuOp::$v, x)),)*
+            }
+        };
+    }
+    per_op!(Sin Cos Sqrt Rsqrt Rcp Ex2 Lg2)
+}
+
+/// [`eval_imad`] on every lane.
+pub fn imad_lanes(a: &Lanes, b: &Lanes, c: &Lanes) -> Lanes {
+    map3(a, b, c, eval_imad)
+}
+
+/// [`eval_ffma`] on every lane.
+pub fn ffma_lanes(a: &Lanes, b: &Lanes, c: &Lanes) -> Lanes {
+    map3(a, b, c, eval_ffma)
+}
+
+/// [`eval_sel`] on every lane.
+pub fn sel_lanes(cond: &Lanes, if_true: &Lanes, if_false: &Lanes) -> Lanes {
+    map3(cond, if_true, if_false, eval_sel)
+}
+
 /// Evaluate a two-operand ALU op.
+#[inline]
 pub fn eval_bin(op: AluBinOp, a: u32, b: u32) -> u32 {
     match op {
         AluBinOp::IAdd => a.wrapping_add(b),
@@ -35,6 +143,7 @@ pub fn eval_bin(op: AluBinOp, a: u32, b: u32) -> u32 {
 }
 
 /// Evaluate a one-operand ALU op.
+#[inline]
 pub fn eval_un(op: AluUnOp, a: u32) -> u32 {
     match op {
         AluUnOp::Mov => a,
@@ -52,16 +161,19 @@ pub fn eval_un(op: AluUnOp, a: u32) -> u32 {
 }
 
 /// Evaluate an integer multiply-add (`a * b + c`, wrapping).
+#[inline]
 pub fn eval_imad(a: u32, b: u32, c: u32) -> u32 {
     a.wrapping_mul(b).wrapping_add(c)
 }
 
 /// Evaluate a fused float multiply-add.
+#[inline]
 pub fn eval_ffma(a: u32, b: u32, c: u32) -> u32 {
     from_f32(as_f32(a).mul_add(as_f32(b), as_f32(c)))
 }
 
 /// Evaluate a transcendental SFU op.
+#[inline]
 pub fn eval_sfu(op: SfuOp, a: u32) -> u32 {
     let x = as_f32(a);
     let r = match op {
@@ -77,6 +189,7 @@ pub fn eval_sfu(op: SfuOp, a: u32) -> u32 {
 }
 
 /// Evaluate a comparison, returning 1 or 0.
+#[inline]
 pub fn eval_cmp(cmp: CmpOp, ty: CmpType, a: u32, b: u32) -> u32 {
     let r = match ty {
         CmpType::I32 => {
@@ -114,6 +227,7 @@ pub fn eval_cmp(cmp: CmpOp, ty: CmpType, a: u32, b: u32) -> u32 {
 }
 
 /// Evaluate a select.
+#[inline]
 pub fn eval_sel(cond: u32, if_true: u32, if_false: u32) -> u32 {
     if cond != 0 {
         if_true

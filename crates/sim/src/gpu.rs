@@ -287,23 +287,12 @@ impl Gpu {
         }
 
         let mut stats = RunStats {
-            sm_cycles: finish.clone(),
             cycles: finish.iter().copied().max().unwrap_or(0),
+            sm_cycles: finish,
             ..Default::default()
         };
         for sm in &sms {
-            stats.warp_instructions += sm.stats.warp_instructions;
-            stats.thread_instructions += sm.stats.thread_instructions;
-            stats.idle_cycles += sm.stats.idle_cycles;
-            stats.stall_cycles += sm.stats.stall_cycles;
-            for u in 0..3 {
-                stats.unit_instructions[u] += sm.stats.unit_instructions[u];
-                stats.unit_thread_instructions[u] += sm.stats.unit_thread_instructions[u];
-            }
-            stats.reg_reads += sm.stats.reg_reads;
-            stats.reg_writes += sm.stats.reg_writes;
-            stats.blocks += sm.stats.blocks;
-            stats.dual_issues += sm.stats.dual_issues;
+            stats.merge(&sm.stats);
         }
         Ok(stats)
     }

@@ -181,6 +181,48 @@ pub struct RunStats {
 }
 
 impl RunStats {
+    /// Fold `other` in as work that ran after `self`: every count adds,
+    /// `cycles` adds (sequential launches), and `sm_cycles` adds
+    /// elementwise, growing to the longer of the two.
+    ///
+    /// The destructuring names every field, so a new field does not
+    /// compile until it is merged here.
+    pub fn merge(&mut self, other: &RunStats) {
+        let RunStats {
+            cycles,
+            sm_cycles,
+            warp_instructions,
+            thread_instructions,
+            idle_cycles,
+            stall_cycles,
+            unit_instructions,
+            unit_thread_instructions,
+            reg_reads,
+            reg_writes,
+            blocks,
+            dual_issues,
+        } = other;
+        self.cycles += cycles;
+        if self.sm_cycles.len() < sm_cycles.len() {
+            self.sm_cycles.resize(sm_cycles.len(), 0);
+        }
+        for (mine, theirs) in self.sm_cycles.iter_mut().zip(sm_cycles) {
+            *mine += theirs;
+        }
+        self.warp_instructions += warp_instructions;
+        self.thread_instructions += thread_instructions;
+        self.idle_cycles += idle_cycles;
+        self.stall_cycles += stall_cycles;
+        for u in 0..3 {
+            self.unit_instructions[u] += unit_instructions[u];
+            self.unit_thread_instructions[u] += unit_thread_instructions[u];
+        }
+        self.reg_reads += reg_reads;
+        self.reg_writes += reg_writes;
+        self.blocks += blocks;
+        self.dual_issues += dual_issues;
+    }
+
     /// Kernel wall time in nanoseconds under `config`'s clock.
     pub fn time_ns(&self, config: &GpuConfig) -> f64 {
         self.cycles as f64 * config.clock_ns
@@ -257,6 +299,34 @@ mod tests {
         assert!((s.unit_fraction(UnitType::Sp) - 0.8).abs() < 1e-12);
         let cfg = GpuConfig::default();
         assert_eq!(s.time_ns(&cfg), 125.0);
+    }
+
+    #[test]
+    fn merge_adds_counts_and_per_sm_cycles() {
+        let a = RunStats {
+            cycles: 10,
+            sm_cycles: vec![10, 7],
+            warp_instructions: 5,
+            unit_instructions: [3, 1, 1],
+            blocks: 2,
+            ..Default::default()
+        };
+        let b = RunStats {
+            cycles: 4,
+            sm_cycles: vec![4, 4, 1],
+            warp_instructions: 2,
+            unit_instructions: [1, 1, 0],
+            dual_issues: 1,
+            ..Default::default()
+        };
+        let mut total = RunStats::default();
+        total.merge(&a);
+        total.merge(&b);
+        assert_eq!(total.cycles, 14);
+        assert_eq!(total.sm_cycles, vec![14, 11, 1]);
+        assert_eq!(total.warp_instructions, 7);
+        assert_eq!(total.unit_instructions, [4, 2, 1]);
+        assert_eq!((total.blocks, total.dual_issues), (2, 1));
     }
 
     #[test]

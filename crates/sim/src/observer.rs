@@ -34,7 +34,8 @@ pub struct IssueInfo<'a> {
     /// Per-lane computed result: the ALU/SFU output, the evaluated
     /// predicate for branches, or the computed word address for memory
     /// operations (the part of a LD/ST that Warped-DMR verifies).
-    /// Entries for inactive lanes are unspecified.
+    /// Entries for inactive lanes read 0, as do all entries when
+    /// [`IssueInfo::has_result`] is false.
     pub results: &'a [u32; WARP_SIZE],
     /// Whether [`IssueInfo::results`] carries meaningful values
     /// (false only for `jump`/`bar`/`exit`).

@@ -6,16 +6,25 @@
 //! issue. Execution units are super-pipelined: issue to the same unit on
 //! back-to-back cycles is legal; dependent instructions wait on the
 //! scoreboard (RF latency + unit latency).
+//!
+//! The SM caches, per warp slot, the first cycle at which the slot's top
+//! instruction clears the scoreboard (`ready`). That cycle moves only when
+//! the slot's warp issues, when a warp is assigned to the slot, or when
+//! the warp leaves a barrier, so the scheduler filters slots on one
+//! comparison and runs the other issue checks on candidates only, and a
+//! cycle before the earliest ready slot is idle without a scan.
 
-use crate::config::{GpuConfig, WARP_SIZE};
+use crate::config::{GpuConfig, SchedulerPolicy, WARP_SIZE};
 use crate::fault::LaneFault;
-use crate::functional::{eval_bin, eval_cmp, eval_ffma, eval_imad, eval_sel, eval_sfu, eval_un};
-use crate::launch::{LaunchConfig, SimError};
+use crate::functional::{
+    bin_lanes, cmp_lanes, ffma_lanes, imad_lanes, sel_lanes, sfu_lanes, un_lanes, Lanes,
+};
+use crate::launch::{LaunchConfig, RunStats, SimError};
 use crate::memory::{GlobalMemory, SharedMemory};
 use crate::observer::{IssueInfo, IssueObserver};
 use crate::warp::Warp;
 use std::sync::Arc;
-use warped_isa::{Instruction, Kernel, Operand, Space, SpecialReg, UnitType};
+use warped_isa::{Instruction, Kernel, Operand, Pc, Reg, Space, SpecialReg, UnitType};
 use warped_trace::{TraceEvent, TraceHandle};
 
 /// A block resident on an SM.
@@ -33,32 +42,6 @@ pub struct BlockState {
     pub warp_slots: Vec<usize>,
 }
 
-/// Per-SM statistics, summed by the GPU into
-/// [`RunStats`](crate::launch::RunStats).
-#[derive(Debug, Clone, Default)]
-pub struct SmStats {
-    /// Warp-instructions issued.
-    pub warp_instructions: u64,
-    /// Active-lane executions.
-    pub thread_instructions: u64,
-    /// Cycles with resident work but no issue.
-    pub idle_cycles: u64,
-    /// Observer-charged stall cycles.
-    pub stall_cycles: u64,
-    /// Issues per unit type.
-    pub unit_instructions: [u64; 3],
-    /// Active-lane executions per unit type.
-    pub unit_thread_instructions: [u64; 3],
-    /// Register reads (thread granularity).
-    pub reg_reads: u64,
-    /// Register writes (thread granularity).
-    pub reg_writes: u64,
-    /// Blocks completed.
-    pub blocks: u64,
-    /// Cycles in which both schedulers issued (dual-issue mode).
-    pub dual_issues: u64,
-}
-
 /// One streaming multiprocessor.
 pub struct Sm {
     /// SM index on the chip.
@@ -66,12 +49,27 @@ pub struct Sm {
     config: GpuConfig,
     warp_slots: Vec<Option<Warp>>,
     block_slots: Vec<Option<BlockState>>,
+    /// Per warp slot: the first cycle its top instruction clears the
+    /// scoreboard. `u64::MAX` for an empty slot or a warp parked at a
+    /// barrier; `0` for a top PC past the kernel's end, so the scan
+    /// reaches it and raises [`SimError::PcOutOfRange`].
+    ready: Vec<u64>,
+    /// A lower bound on the minimum of `ready`: exact after a scan that
+    /// found nothing to issue, lowered whenever a slot becomes ready
+    /// earlier (assignment, barrier release), and at most the issue cycle
+    /// after an issue, so the next step scans again.
+    next_ready: u64,
+    resident_blocks: usize,
+    free_warp_slots: usize,
+    /// A `bar` issued or a warp finished since the last barrier release.
+    barrier_check: bool,
     rr_next: usize,
     stall_cycles_left: u64,
     trace: TraceHandle,
     fault: Option<Arc<dyn LaneFault>>,
-    /// Statistics accumulated so far.
-    pub stats: SmStats,
+    /// Statistics accumulated so far. The chip fills in `cycles` and
+    /// `sm_cycles`; an SM leaves them empty.
+    pub stats: RunStats,
 }
 
 impl std::fmt::Debug for Sm {
@@ -95,6 +93,20 @@ pub enum StepOutcome {
     Idle,
 }
 
+/// What an issued instruction does with its per-lane `results`.
+enum Consume {
+    /// Write back to `dst` after an EXE latency of `exe` cycles.
+    Write(Reg, u64),
+    /// Load from the addresses into `dst`.
+    Load(Space, Reg),
+    /// Store `values` to the addresses.
+    Store(Space, Lanes),
+    /// Branch on the per-lane decisions.
+    Branch(Pc, Pc),
+    /// Nothing (`jump`, `bar`, `exit`).
+    Nothing,
+}
+
 impl Sm {
     /// Create an empty SM.
     pub fn new(id: usize, config: GpuConfig) -> Self {
@@ -105,11 +117,16 @@ impl Sm {
             config,
             warp_slots: (0..warps).map(|_| None).collect(),
             block_slots: (0..blocks).map(|_| None).collect(),
+            ready: vec![u64::MAX; warps],
+            next_ready: u64::MAX,
+            resident_blocks: 0,
+            free_warp_slots: warps,
+            barrier_check: false,
             rr_next: 0,
             stall_cycles_left: 0,
             trace: TraceHandle::disabled(),
             fault: None,
-            stats: SmStats::default(),
+            stats: RunStats::default(),
         }
     }
 
@@ -125,13 +142,12 @@ impl Sm {
 
     /// Whether any block is resident.
     pub fn has_work(&self) -> bool {
-        self.block_slots.iter().any(Option::is_some)
+        self.resident_blocks > 0
     }
 
     /// Whether a block needing `warps` warp slots can be accepted now.
     pub fn can_accept(&self, warps: usize) -> bool {
-        self.block_slots.iter().any(Option::is_none)
-            && self.warp_slots.iter().filter(|w| w.is_none()).count() >= warps
+        self.resident_blocks < self.block_slots.len() && self.free_warp_slots >= warps
     }
 
     /// Make a block resident.
@@ -165,6 +181,8 @@ impl Sm {
         for (w, &slot) in free.iter().enumerate() {
             let uid = global_index * wpb as u64 + w as u64;
             self.warp_slots[slot] = Some(Warp::new(uid, bslot, w, threads, kernel.num_regs()));
+            self.refresh_ready(slot, kernel);
+            self.next_ready = self.next_ready.min(self.ready[slot]);
         }
         self.block_slots[bslot] = Some(BlockState {
             global_index,
@@ -173,6 +191,8 @@ impl Sm {
             live_warps: wpb,
             warp_slots: free,
         });
+        self.resident_blocks += 1;
+        self.free_warp_slots -= wpb;
     }
 
     /// Advance one cycle: release barriers, then try to issue one
@@ -195,73 +215,49 @@ impl Sm {
             self.stats.stall_cycles += 1;
             return Ok(StepOutcome::Stalled);
         }
-        self.release_barriers();
-
-        // Fermi dual scheduling (paper §2.2): two issues per cycle from
-        // distinct warps; each scheduler owns its own SPs but the LD/ST
-        // units and SFUs are shared, so two LD/ST (or two SFU)
-        // instructions can never co-issue.
-        let width = if self.config.dual_issue { 2 } else { 1 };
-        let mut issued = 0usize;
-        let mut first_pick: Option<(usize, UnitType)> = None;
-        let mut total_stalls = 0u64;
-
-        let n = self.warp_slots.len();
-        while issued < width {
-            let mut picked = None;
-            for i in 0..n {
-                let idx = (self.rr_next + i) % n;
-                if first_pick.is_some_and(|(fidx, _)| fidx == idx) {
-                    continue;
-                }
-                let Some(warp) = self.warp_slots[idx].as_mut() else {
-                    continue;
-                };
-                if warp.at_barrier {
-                    continue;
-                }
-                let Some((pc, mask)) = warp.stack.top() else {
-                    continue;
-                };
-                let Some(instr) = kernel.fetch(pc) else {
-                    return Err(SimError::PcOutOfRange { pc: pc.0 });
-                };
-                let unit = instr.unit();
-                // Shared-unit structural hazard for the second issue.
-                if let Some((_, first_unit)) = first_pick {
-                    if unit != UnitType::Sp && unit == first_unit {
-                        continue;
-                    }
-                }
-                if !warp.scoreboard_ready(instr, cycle) {
-                    continue;
-                }
-                picked = Some((idx, pc, mask, *instr, unit));
-                break;
-            }
-            let Some((idx, pc, mask, instr, unit)) = picked else {
-                break;
-            };
-            if issued == 0 {
-                self.rr_next = match self.config.scheduler {
-                    // GTO-style: keep issuing from the same warp until it
-                    // cannot issue. Matches real warp schedulers and
-                    // interleaves unit types at the SM level.
-                    crate::config::SchedulerPolicy::GreedyThenOldest => idx,
-                    // Fair rotation: all warps march in near lock step.
-                    crate::config::SchedulerPolicy::LooseRoundRobin => (idx + 1) % n,
-                };
-                first_pick = Some((idx, unit));
-            }
-            total_stalls += self.issue(idx, mask, &instr, pc, cycle, launch, global, observer)?;
-            issued += 1;
+        if self.barrier_check {
+            self.release_barriers(kernel);
         }
-        if issued > 0 {
-            if issued == 2 {
-                self.stats.dual_issues += 1;
+
+        if cycle >= self.next_ready {
+            // Fermi dual scheduling (paper §2.2): two issues per cycle from
+            // distinct warps; each scheduler owns its own SPs but the LD/ST
+            // units and SFUs are shared, so two LD/ST (or two SFU)
+            // instructions can never co-issue.
+            let width = if self.config.dual_issue { 2 } else { 1 };
+            let mut issued = 0usize;
+            let mut first_pick: Option<(usize, UnitType)> = None;
+            let mut total_stalls = 0u64;
+            while issued < width {
+                let Some((idx, pc, mask, instr)) = self.pick(cycle, kernel, first_pick)? else {
+                    break;
+                };
+                if issued == 0 {
+                    self.rr_next = match self.config.scheduler {
+                        // GTO-style: keep issuing from the same warp until it
+                        // cannot issue. Matches real warp schedulers and
+                        // interleaves unit types at the SM level.
+                        SchedulerPolicy::GreedyThenOldest => idx,
+                        // Fair rotation: all warps march in near lock step.
+                        SchedulerPolicy::LooseRoundRobin => (idx + 1) % self.ready.len(),
+                    };
+                    first_pick = Some((idx, instr.unit()));
+                }
+                total_stalls +=
+                    self.issue(idx, mask, &instr, pc, cycle, launch, global, observer)?;
+                self.refresh_ready(idx, kernel);
+                issued += 1;
             }
-            self.stall_cycles_left = total_stalls;
-            return Ok(StepOutcome::Issued);
+            if issued > 0 {
+                if issued == 2 {
+                    self.stats.dual_issues += 1;
+                }
+                self.stall_cycles_left = total_stalls;
+                return Ok(StepOutcome::Issued);
+            }
+            // Nothing was ready: no slot moves again until one issues, so
+            // the SM idles without a scan until the earliest ready cycle.
+            self.next_ready = self.ready.iter().copied().min().unwrap_or(u64::MAX);
         }
         self.trace.emit(|| TraceEvent::Idle {
             sm: self.id as u32,
@@ -272,280 +268,251 @@ impl Sm {
         Ok(StepOutcome::Idle)
     }
 
+    /// The next warp to issue at `cycle`, in rotation order from
+    /// `rr_next`. Only slots whose cached ready cycle has passed are
+    /// candidates; each candidate still gets the fetch (which raises
+    /// `PcOutOfRange`) and the shared-unit hazard check against the first
+    /// pick of a dual issue. The cache is exact, so the scoreboard check
+    /// is a debug assertion.
+    fn pick(
+        &mut self,
+        cycle: u64,
+        kernel: &Kernel,
+        first_pick: Option<(usize, UnitType)>,
+    ) -> Result<Option<(usize, Pc, u32, Instruction)>, SimError> {
+        let n = self.ready.len();
+        for idx in (self.rr_next..n).chain(0..self.rr_next) {
+            if self.ready[idx] > cycle || first_pick.is_some_and(|(f, _)| f == idx) {
+                continue;
+            }
+            // Empty slots and parked warps read `u64::MAX`.
+            let warp = self.warp_slots[idx]
+                .as_mut()
+                .expect("a ready slot holds a warp");
+            debug_assert!(!warp.at_barrier, "a parked warp is never ready");
+            let (pc, mask) = warp.stack.top().expect("a resident warp has live threads");
+            let Some(instr) = kernel.fetch(pc) else {
+                return Err(SimError::PcOutOfRange { pc: pc.0 });
+            };
+            // Shared-unit structural hazard for the second issue.
+            if let Some((_, first_unit)) = first_pick {
+                let unit = instr.unit();
+                if unit != UnitType::Sp && unit == first_unit {
+                    continue;
+                }
+            }
+            debug_assert!(warp.ready_cycle(instr) <= cycle, "stale ready cycle");
+            return Ok(Some((idx, pc, mask, *instr)));
+        }
+        Ok(None)
+    }
+
     #[allow(clippy::too_many_arguments)]
     fn issue(
         &mut self,
         widx: usize,
         mask: u32,
         instr: &Instruction,
-        pc: warped_isa::Pc,
+        pc: Pc,
         cycle: u64,
         launch: &LaunchConfig,
         global: &mut GlobalMemory,
         observer: &mut dyn IssueObserver,
     ) -> Result<u64, SimError> {
-        let mut warp = self.warp_slots[widx].take().expect("issuing empty slot");
+        let Sm {
+            id,
+            config,
+            warp_slots,
+            block_slots,
+            resident_blocks,
+            free_warp_slots,
+            barrier_check,
+            trace,
+            fault,
+            stats,
+            ..
+        } = self;
+        let warp = warp_slots[widx].as_mut().expect("issuing empty slot");
         let bslot = warp.block_slot;
-        let mut results = [0u32; WARP_SIZE];
-        let mut has_result = true;
+        let block = block_slots[bslot].as_mut().expect("warp's block missing");
 
         let mut raw_dists = [None; 4];
+        let mut reg_srcs = 0u64;
         for (k, src) in instr.src_regs().iter().enumerate() {
             if let Some(r) = src {
                 raw_dists[k] = warp.raw_distance(*r, cycle);
+                reg_srcs += 1;
             }
         }
 
-        // Writeback bookkeeping collected during execution.
-        let mut writeback: Option<(warped_isa::Reg, u64)> = None;
-
-        // Datapath corruption hook (fault campaigns): transforms every
-        // value a unit produces — ALU/SFU results, load/store address
-        // computations, branch decisions — before it reaches writeback.
-        // Without a fault this is one `None` check per value.
-        let fault = self.fault.as_deref();
-        let sm_id = self.id;
-        let hurt = move |lane: usize, v: u32| match fault {
-            Some(f) => f.corrupt(sm_id, lane, cycle, v),
-            None => v,
+        // Produce: every value-producing instruction fills `results` for
+        // all 32 lanes from operands resolved once — the ALU/SFU output,
+        // the branch decision, or the LD/ST word address (the part of a
+        // memory access that DMR verifies).
+        let mut results: Lanes = [0; WARP_SIZE];
+        let mut has_result = true;
+        let consume = match *instr {
+            Instruction::Bin { op, dst, a, b } => {
+                let a = resolve(a, warp, block, launch)?;
+                results = bin_lanes(op, &a, &resolve(b, warp, block, launch)?);
+                Consume::Write(dst, config.sp_latency)
+            }
+            Instruction::Un { op, dst, a } => {
+                results = un_lanes(op, &resolve(a, warp, block, launch)?);
+                Consume::Write(dst, config.sp_latency)
+            }
+            Instruction::IMad { dst, a, b, c } => {
+                let [a, b, c] = resolve3([a, b, c], warp, block, launch)?;
+                results = imad_lanes(&a, &b, &c);
+                Consume::Write(dst, config.sp_latency)
+            }
+            Instruction::FFma { dst, a, b, c } => {
+                let [a, b, c] = resolve3([a, b, c], warp, block, launch)?;
+                results = ffma_lanes(&a, &b, &c);
+                Consume::Write(dst, config.sp_latency)
+            }
+            Instruction::Setp { cmp, ty, dst, a, b } => {
+                let a = resolve(a, warp, block, launch)?;
+                results = cmp_lanes(cmp, ty, &a, &resolve(b, warp, block, launch)?);
+                Consume::Write(dst, config.sp_latency)
+            }
+            Instruction::Sel {
+                dst,
+                cond,
+                if_true,
+                if_false,
+            } => {
+                let [c, t, f] = resolve3([cond, if_true, if_false], warp, block, launch)?;
+                results = sel_lanes(&c, &t, &f);
+                Consume::Write(dst, config.sp_latency)
+            }
+            Instruction::Sfu { op, dst, a } => {
+                results = sfu_lanes(op, &resolve(a, warp, block, launch)?);
+                Consume::Write(dst, config.sfu_latency)
+            }
+            Instruction::Ld {
+                space,
+                dst,
+                addr,
+                offset,
+            } => {
+                results = offset_lanes(&resolve(addr, warp, block, launch)?, offset);
+                Consume::Load(space, dst)
+            }
+            Instruction::St {
+                space,
+                addr,
+                offset,
+                src,
+            } => {
+                results = offset_lanes(&resolve(addr, warp, block, launch)?, offset);
+                Consume::Store(space, resolve(src, warp, block, launch)?)
+            }
+            Instruction::Branch {
+                pred,
+                negate,
+                target,
+                reconv,
+            } => {
+                for (r, &p) in results.iter_mut().zip(warp.reg_lanes(pred)) {
+                    *r = u32::from((p != 0) ^ negate);
+                }
+                Consume::Branch(target, reconv)
+            }
+            Instruction::Jump { target } => {
+                warp.stack.jump(target);
+                has_result = false;
+                Consume::Nothing
+            }
+            Instruction::Bar => {
+                warp.stack.advance();
+                warp.at_barrier = true;
+                *barrier_check = true;
+                has_result = false;
+                Consume::Nothing
+            }
+            Instruction::Exit => {
+                warp.stack.exit(mask);
+                has_result = false;
+                Consume::Nothing
+            }
         };
 
-        {
-            let block = self.block_slots[bslot]
-                .as_mut()
-                .expect("warp's block missing");
-            let exe_latency = |unit: UnitType, space: Option<Space>| -> u64 {
-                match (unit, space) {
-                    (UnitType::Sp, _) => self.config.sp_latency,
-                    (UnitType::Sfu, _) => self.config.sfu_latency,
-                    (UnitType::LdSt, Some(Space::Shared)) => self.config.shared_latency,
-                    (UnitType::LdSt, _) => self.config.global_latency,
+        if has_result {
+            // Datapath corruption hook (fault campaigns): transforms every
+            // value a unit produces before it is consumed, in lane order.
+            if let Some(f) = fault.as_deref() {
+                for lane in active_lanes(mask) {
+                    results[lane] = f.corrupt(*id, lane, cycle, results[lane]);
                 }
-            };
-
-            match *instr {
-                Instruction::Bin { op, dst, a, b } => {
-                    for lane in lanes(mask) {
-                        let av = operand(&warp, block, launch, lane, a)?;
-                        let bv = operand(&warp, block, launch, lane, b)?;
-                        results[lane] = hurt(lane, eval_bin(op, av, bv));
-                    }
-                    write_lanes(&mut warp, mask, dst, &results);
-                    writeback = Some((
-                        dst,
-                        cycle
-                            + self
-                                .config
-                                .writeback_latency(exe_latency(UnitType::Sp, None)),
-                    ));
-                    warp.stack.advance();
-                }
-                Instruction::Un { op, dst, a } => {
-                    for lane in lanes(mask) {
-                        let av = operand(&warp, block, launch, lane, a)?;
-                        results[lane] = hurt(lane, eval_un(op, av));
-                    }
-                    write_lanes(&mut warp, mask, dst, &results);
-                    writeback = Some((
-                        dst,
-                        cycle
-                            + self
-                                .config
-                                .writeback_latency(exe_latency(UnitType::Sp, None)),
-                    ));
-                    warp.stack.advance();
-                }
-                Instruction::IMad { dst, a, b, c } => {
-                    for lane in lanes(mask) {
-                        let av = operand(&warp, block, launch, lane, a)?;
-                        let bv = operand(&warp, block, launch, lane, b)?;
-                        let cv = operand(&warp, block, launch, lane, c)?;
-                        results[lane] = hurt(lane, eval_imad(av, bv, cv));
-                    }
-                    write_lanes(&mut warp, mask, dst, &results);
-                    writeback = Some((
-                        dst,
-                        cycle
-                            + self
-                                .config
-                                .writeback_latency(exe_latency(UnitType::Sp, None)),
-                    ));
-                    warp.stack.advance();
-                }
-                Instruction::FFma { dst, a, b, c } => {
-                    for lane in lanes(mask) {
-                        let av = operand(&warp, block, launch, lane, a)?;
-                        let bv = operand(&warp, block, launch, lane, b)?;
-                        let cv = operand(&warp, block, launch, lane, c)?;
-                        results[lane] = hurt(lane, eval_ffma(av, bv, cv));
-                    }
-                    write_lanes(&mut warp, mask, dst, &results);
-                    writeback = Some((
-                        dst,
-                        cycle
-                            + self
-                                .config
-                                .writeback_latency(exe_latency(UnitType::Sp, None)),
-                    ));
-                    warp.stack.advance();
-                }
-                Instruction::Setp { cmp, ty, dst, a, b } => {
-                    for lane in lanes(mask) {
-                        let av = operand(&warp, block, launch, lane, a)?;
-                        let bv = operand(&warp, block, launch, lane, b)?;
-                        results[lane] = hurt(lane, eval_cmp(cmp, ty, av, bv));
-                    }
-                    write_lanes(&mut warp, mask, dst, &results);
-                    writeback = Some((
-                        dst,
-                        cycle
-                            + self
-                                .config
-                                .writeback_latency(exe_latency(UnitType::Sp, None)),
-                    ));
-                    warp.stack.advance();
-                }
-                Instruction::Sel {
-                    dst,
-                    cond,
-                    if_true,
-                    if_false,
-                } => {
-                    for lane in lanes(mask) {
-                        let cv = operand(&warp, block, launch, lane, cond)?;
-                        let tv = operand(&warp, block, launch, lane, if_true)?;
-                        let fv = operand(&warp, block, launch, lane, if_false)?;
-                        results[lane] = hurt(lane, eval_sel(cv, tv, fv));
-                    }
-                    write_lanes(&mut warp, mask, dst, &results);
-                    writeback = Some((
-                        dst,
-                        cycle
-                            + self
-                                .config
-                                .writeback_latency(exe_latency(UnitType::Sp, None)),
-                    ));
-                    warp.stack.advance();
-                }
-                Instruction::Sfu { op, dst, a } => {
-                    for lane in lanes(mask) {
-                        let av = operand(&warp, block, launch, lane, a)?;
-                        results[lane] = hurt(lane, eval_sfu(op, av));
-                    }
-                    write_lanes(&mut warp, mask, dst, &results);
-                    writeback = Some((
-                        dst,
-                        cycle
-                            + self
-                                .config
-                                .writeback_latency(exe_latency(UnitType::Sfu, None)),
-                    ));
-                    warp.stack.advance();
-                }
-                Instruction::Ld {
-                    space,
-                    dst,
-                    addr,
-                    offset,
-                } => {
-                    let mut loaded = [0u32; WARP_SIZE];
-                    for lane in lanes(mask) {
-                        let base = operand(&warp, block, launch, lane, addr)?;
-                        let a = hurt(lane, base.wrapping_add(offset as u32));
-                        results[lane] = a; // DMR verifies the address computation
-                        loaded[lane] = match space {
-                            Space::Global => global.read(a)?,
-                            Space::Shared => block.shared.read(a)?,
-                        };
-                    }
-                    for lane in lanes(mask) {
-                        warp.write_reg(dst, lane, loaded[lane]);
-                    }
-                    writeback = Some((
-                        dst,
-                        cycle
-                            + self
-                                .config
-                                .writeback_latency(exe_latency(UnitType::LdSt, Some(space))),
-                    ));
-                    warp.stack.advance();
-                }
-                Instruction::St {
-                    space,
-                    addr,
-                    offset,
-                    src,
-                } => {
-                    for lane in lanes(mask) {
-                        let base = operand(&warp, block, launch, lane, addr)?;
-                        let a = hurt(lane, base.wrapping_add(offset as u32));
-                        results[lane] = a;
-                        let v = operand(&warp, block, launch, lane, src)?;
-                        match space {
-                            Space::Global => global.write(a, v)?,
-                            Space::Shared => block.shared.write(a, v)?,
-                        }
-                    }
-                    warp.stack.advance();
-                }
-                Instruction::Branch {
-                    pred,
-                    negate,
-                    target,
-                    reconv,
-                } => {
-                    let mut taken = 0u32;
-                    for lane in lanes(mask) {
-                        let p = warp.read_reg(pred, lane) != 0;
-                        let t = hurt(lane, (p ^ negate) as u32) != 0;
-                        results[lane] = t as u32;
-                        if t {
-                            taken |= 1 << lane;
-                        }
-                    }
-                    warp.stack.branch(taken, target, reconv);
-                }
-                Instruction::Jump { target } => {
-                    warp.stack.jump(target);
-                    has_result = false;
-                }
-                Instruction::Bar => {
-                    warp.stack.advance();
-                    warp.at_barrier = true;
-                    has_result = false;
-                }
-                Instruction::Exit => {
-                    warp.stack.exit(mask);
-                    has_result = false;
-                }
+            }
+            // Inactive lanes read 0 (the `IssueInfo::results` contract).
+            for (lane, r) in results.iter_mut().enumerate() {
+                *r &= ((mask >> lane) & 1).wrapping_neg();
             }
         }
 
-        if let Some((dst, ready)) = writeback {
-            warp.note_write(dst, cycle, ready);
+        // Consume: write back, access memory, or steer the warp.
+        match consume {
+            Consume::Write(dst, exe) => {
+                warp.write_masked(dst, mask, &results);
+                warp.note_write(dst, cycle, cycle + config.writeback_latency(exe));
+                warp.stack.advance();
+            }
+            Consume::Load(space, dst) => {
+                let mut loaded: Lanes = [0; WARP_SIZE];
+                for lane in active_lanes(mask) {
+                    loaded[lane] = match space {
+                        Space::Global => global.read(results[lane])?,
+                        Space::Shared => block.shared.read(results[lane])?,
+                    };
+                }
+                warp.write_masked(dst, mask, &loaded);
+                let exe = match space {
+                    Space::Global => config.global_latency,
+                    Space::Shared => config.shared_latency,
+                };
+                warp.note_write(dst, cycle, cycle + config.writeback_latency(exe));
+                warp.stack.advance();
+            }
+            Consume::Store(space, values) => {
+                for lane in active_lanes(mask) {
+                    match space {
+                        Space::Global => global.write(results[lane], values[lane])?,
+                        Space::Shared => block.shared.write(results[lane], values[lane])?,
+                    }
+                }
+                warp.stack.advance();
+            }
+            Consume::Branch(target, reconv) => {
+                let mut taken = 0u32;
+                for (lane, r) in results.iter_mut().enumerate() {
+                    // A corrupted decision counts as taken when non-zero.
+                    *r = u32::from(*r != 0);
+                    taken |= *r << lane;
+                }
+                warp.stack.branch(taken, target, reconv);
+            }
+            Consume::Nothing => {}
         }
 
         let unit = instr.unit();
         let active = mask.count_ones() as u64;
-        self.stats.warp_instructions += 1;
-        self.stats.thread_instructions += active;
-        self.stats.unit_instructions[unit.index()] += 1;
-        self.stats.unit_thread_instructions[unit.index()] += active;
-        self.stats.reg_reads += instr.num_reg_srcs() as u64 * active;
+        stats.warp_instructions += 1;
+        stats.thread_instructions += active;
+        stats.unit_instructions[unit.index()] += 1;
+        stats.unit_thread_instructions[unit.index()] += active;
+        stats.reg_reads += reg_srcs * active;
         if instr.dst().is_some() {
-            self.stats.reg_writes += active;
+            stats.reg_writes += active;
         }
 
-        let block_index = self.block_slots[bslot]
-            .as_ref()
-            .map(|b| b.global_index)
-            .unwrap_or(0);
         let info = IssueInfo {
             cycle,
-            sm_id: self.id,
+            sm_id: *id,
             warp_slot: widx,
             warp_uid: warp.uid,
-            block: block_index,
+            block: block.global_index,
             pc,
             instr,
             unit,
@@ -556,8 +523,8 @@ impl Sm {
         };
         // Emitted before the observers run so the checker events of this
         // issue slot follow their Issue in the stream.
-        self.trace.emit(|| TraceEvent::Issue {
-            sm: self.id as u32,
+        trace.emit(|| TraceEvent::Issue {
+            sm: *id as u32,
             cycle,
             warp: info.warp_uid,
             pc: pc.0,
@@ -571,28 +538,43 @@ impl Sm {
         let stalls = observer.on_issue(&info);
 
         if warp.is_done() {
-            let block = self.block_slots[bslot].as_mut().expect("block missing");
             block.live_warps -= 1;
             if block.live_warps == 0 {
-                self.block_slots[bslot] = None;
-                self.stats.blocks += 1;
+                block_slots[bslot] = None;
+                *resident_blocks -= 1;
+                stats.blocks += 1;
             }
-            // Warp slot stays free.
-        } else {
-            self.warp_slots[widx] = Some(warp);
+            warp_slots[widx] = None;
+            *free_warp_slots += 1;
+            // Block-mates parked at a barrier may now be the only live
+            // warps left.
+            *barrier_check = true;
         }
         Ok(stalls)
     }
 
-    // Runs every cycle for every resident block — alloc-free: one pass
-    // counting live vs waiting warps, one pass clearing the flags.
-    fn release_barriers(&mut self) {
-        let warps = &mut self.warp_slots;
-        for b in self.block_slots.iter().flatten() {
+    /// Recompute the cached ready cycle of warp slot `idx`.
+    fn refresh_ready(&mut self, idx: usize, kernel: &Kernel) {
+        self.ready[idx] = ready_cycle_of(&mut self.warp_slots[idx], kernel);
+    }
+
+    // Runs at the first non-stalled step after a `bar` issued or a warp
+    // finished: only those events can complete a barrier. One pass counts
+    // live vs waiting warps, one pass clears the flags.
+    fn release_barriers(&mut self, kernel: &Kernel) {
+        self.barrier_check = false;
+        let Sm {
+            block_slots,
+            warp_slots,
+            ready,
+            next_ready,
+            ..
+        } = self;
+        for block in block_slots.iter().flatten() {
             let mut live = 0usize;
             let mut waiting = 0usize;
-            for &s in &b.warp_slots {
-                if let Some(w) = &warps[s] {
+            for &s in &block.warp_slots {
+                if let Some(w) = &warp_slots[s] {
                     live += 1;
                     if w.at_barrier {
                         waiting += 1;
@@ -602,43 +584,88 @@ impl Sm {
             if live == 0 || waiting < live {
                 continue;
             }
-            for &s in &b.warp_slots {
-                if let Some(w) = warps[s].as_mut() {
+            for &s in &block.warp_slots {
+                if let Some(w) = warp_slots[s].as_mut() {
                     w.at_barrier = false;
                 }
+                ready[s] = ready_cycle_of(&mut warp_slots[s], kernel);
+                *next_ready = (*next_ready).min(ready[s]);
             }
         }
     }
 }
 
-/// Iterate the set lane indices of a mask.
-fn lanes(mask: u32) -> impl Iterator<Item = usize> {
-    (0..WARP_SIZE).filter(move |l| mask & (1 << l) != 0)
-}
-
-fn write_lanes(warp: &mut Warp, mask: u32, dst: warped_isa::Reg, results: &[u32; WARP_SIZE]) {
-    for lane in lanes(mask) {
-        warp.write_reg(dst, lane, results[lane]);
+/// The cached ready cycle of a warp slot: when its top instruction clears
+/// the scoreboard, `u64::MAX` for an empty slot or a parked warp, `0` for
+/// a top PC past the kernel's end.
+fn ready_cycle_of(slot: &mut Option<Warp>, kernel: &Kernel) -> u64 {
+    match slot {
+        Some(w) if !w.at_barrier => match w.stack.top() {
+            Some((pc, _)) => kernel.fetch(pc).map_or(0, |i| w.ready_cycle(i)),
+            None => u64::MAX,
+        },
+        _ => u64::MAX,
     }
 }
 
-fn operand(
+/// The set lane indices of a mask, ascending.
+fn active_lanes(mask: u32) -> impl Iterator<Item = usize> {
+    let mut rest = mask;
+    std::iter::from_fn(move || {
+        (rest != 0).then(|| {
+            let lane = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            lane
+        })
+    })
+}
+
+/// `base + offset` (wrapping) on every lane.
+fn offset_lanes(base: &Lanes, offset: i32) -> Lanes {
+    let mut out = *base;
+    for a in &mut out {
+        *a = a.wrapping_add(offset as u32);
+    }
+    out
+}
+
+/// Resolve one operand for all 32 lanes: a register's lane row, a
+/// broadcast immediate or parameter, or a special register per lane.
+fn resolve(
+    op: Operand,
     warp: &Warp,
     block: &BlockState,
     launch: &LaunchConfig,
-    lane: usize,
-    op: Operand,
-) -> Result<u32, SimError> {
-    match op {
-        Operand::Reg(r) => Ok(warp.read_reg(r, lane)),
-        Operand::Imm(v) => Ok(v),
-        Operand::Param(i) => launch
-            .params
-            .get(i as usize)
-            .copied()
-            .ok_or(SimError::MissingParam { index: i }),
-        Operand::Special(s) => Ok(special_value(s, warp, block, launch, lane)),
-    }
+) -> Result<Lanes, SimError> {
+    Ok(match op {
+        Operand::Reg(r) => *warp.reg_lanes(r),
+        Operand::Imm(v) => [v; WARP_SIZE],
+        Operand::Param(i) => {
+            [launch
+                .params
+                .get(i as usize)
+                .copied()
+                .ok_or(SimError::MissingParam { index: i })?; WARP_SIZE]
+        }
+        Operand::Special(s) => {
+            std::array::from_fn(|lane| special_value(s, warp, block, launch, lane))
+        }
+    })
+}
+
+/// Resolve three operands in operand order (the first missing parameter
+/// is the error).
+fn resolve3(
+    ops: [Operand; 3],
+    warp: &Warp,
+    block: &BlockState,
+    launch: &LaunchConfig,
+) -> Result<[Lanes; 3], SimError> {
+    Ok([
+        resolve(ops[0], warp, block, launch)?,
+        resolve(ops[1], warp, block, launch)?,
+        resolve(ops[2], warp, block, launch)?,
+    ])
 }
 
 fn special_value(

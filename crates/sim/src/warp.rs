@@ -1,6 +1,7 @@
 //! Warp context: registers, scoreboard, and divergence state.
 
 use crate::config::WARP_SIZE;
+use crate::functional::Lanes;
 use crate::simt_stack::SimtStack;
 use warped_isa::{Instruction, Reg};
 
@@ -31,9 +32,19 @@ pub struct Warp {
     pub stack: SimtStack,
     /// Whether the warp is parked at a `bar.sync`.
     pub at_barrier: bool,
+    /// Register rows, one [`Lanes`] per register (flat, so a fresh frame
+    /// comes from a zeroed allocation).
     regs: Vec<u32>,
-    pending: Vec<u64>,
-    last_write_issue: Vec<u64>,
+    scoreboard: Vec<LastWrite>,
+}
+
+/// The last write of one register: when it completes writeback and when
+/// it issued (`u64::MAX` if never written). Kept side by side so a
+/// register's scoreboard state is one cache access.
+#[derive(Debug, Clone, Copy)]
+struct LastWrite {
+    ready: u64,
+    issued: u64,
 }
 
 impl Warp {
@@ -59,50 +70,67 @@ impl Warp {
             stack: SimtStack::new(mask),
             at_barrier: false,
             regs: vec![0; n * WARP_SIZE],
-            pending: vec![0; n],
-            last_write_issue: vec![u64::MAX; n],
+            scoreboard: vec![
+                LastWrite {
+                    ready: 0,
+                    issued: u64::MAX,
+                };
+                n
+            ],
         }
     }
 
-    /// Read register `reg` of `lane`.
+    /// Register `reg` of every lane.
     #[inline]
-    pub fn read_reg(&self, reg: Reg, lane: usize) -> u32 {
-        self.regs[reg.index() * WARP_SIZE + lane]
+    pub fn reg_lanes(&self, reg: Reg) -> &Lanes {
+        let base = reg.index() * WARP_SIZE;
+        self.regs[base..base + WARP_SIZE]
+            .try_into()
+            .expect("a register row is one warp wide")
     }
 
-    /// Write register `reg` of `lane`.
+    /// Write `values` into register `reg` of the lanes set in `mask`;
+    /// the other lanes keep their contents.
     #[inline]
-    pub fn write_reg(&mut self, reg: Reg, lane: usize, value: u32) {
-        self.regs[reg.index() * WARP_SIZE + lane] = value;
-    }
-
-    /// Scoreboard check: can `instr` issue at `cycle`?
-    ///
-    /// All source registers and the destination (WAW) must have completed
-    /// writeback.
-    pub fn scoreboard_ready(&self, instr: &Instruction, cycle: u64) -> bool {
-        if let Some(dst) = instr.dst() {
-            if self.pending[dst.index()] > cycle {
-                return false;
-            }
+    pub fn write_masked(&mut self, reg: Reg, mask: u32, values: &Lanes) {
+        let base = reg.index() * WARP_SIZE;
+        let row = &mut self.regs[base..base + WARP_SIZE];
+        if mask == u32::MAX {
+            // A plain store: no need to wait for the old row.
+            row.copy_from_slice(values);
+            return;
         }
+        for (lane, (d, &v)) in row.iter_mut().zip(values).enumerate() {
+            // All ones for an inactive lane, zero for an active one.
+            let keep = ((mask >> lane) & 1).wrapping_sub(1);
+            *d = (*d & keep) | (v & !keep);
+        }
+    }
+
+    /// The first cycle at which `instr` clears the scoreboard: every
+    /// source register and the destination (WAW) have completed
+    /// writeback. The value moves only when this warp issues.
+    pub fn ready_cycle(&self, instr: &Instruction) -> u64 {
+        let waw = instr.dst().map_or(0, |d| self.scoreboard[d.index()].ready);
         instr
             .src_regs()
             .into_iter()
             .flatten()
-            .all(|r| self.pending[r.index()] <= cycle)
+            .fold(waw, |c, r| c.max(self.scoreboard[r.index()].ready))
     }
 
     /// Record a write issued at `issue_cycle` completing at `ready_cycle`.
     pub fn note_write(&mut self, reg: Reg, issue_cycle: u64, ready_cycle: u64) {
-        self.pending[reg.index()] = ready_cycle;
-        self.last_write_issue[reg.index()] = issue_cycle;
+        self.scoreboard[reg.index()] = LastWrite {
+            ready: ready_cycle,
+            issued: issue_cycle,
+        };
     }
 
     /// Issue-to-issue RAW distance for reading `reg` at `cycle`
     /// (`None` if the register was never written).
     pub fn raw_distance(&self, reg: Reg, cycle: u64) -> Option<u64> {
-        let w = self.last_write_issue[reg.index()];
+        let w = self.scoreboard[reg.index()].issued;
         (w != u64::MAX).then(|| cycle.saturating_sub(w))
     }
 
@@ -136,27 +164,31 @@ mod tests {
     }
 
     #[test]
-    fn register_read_write_per_lane() {
+    fn masked_write_keeps_inactive_lanes() {
         let mut w = Warp::new(0, 0, 0, 32, 4);
-        w.write_reg(Reg(2), 5, 99);
-        assert_eq!(w.read_reg(Reg(2), 5), 99);
-        assert_eq!(w.read_reg(Reg(2), 6), 0);
-        assert_eq!(w.read_reg(Reg(3), 5), 0);
+        let ones: Lanes = [1; WARP_SIZE];
+        w.write_masked(Reg(1), u32::MAX, &ones);
+        let values: Lanes = std::array::from_fn(|l| 100 + l as u32);
+        w.write_masked(Reg(1), 0b0110, &values);
+        assert_eq!(&w.reg_lanes(Reg(1))[..4], &[1, 101, 102, 1]);
+        assert_eq!(w.reg_lanes(Reg(1))[31], 1);
+        assert_eq!(w.reg_lanes(Reg(2)), &[0; WARP_SIZE], "other rows untouched");
     }
 
     #[test]
-    fn scoreboard_blocks_raw_and_waw() {
+    fn ready_cycle_waits_for_raw_and_waw() {
         let mut w = Warp::new(0, 0, 0, 32, 4);
         let instr = add(0, 1, 2);
-        assert!(w.scoreboard_ready(&instr, 0));
-        // Pending write to a source blocks issue.
+        assert_eq!(w.ready_cycle(&instr), 0);
+        // A pending write to a source delays issue (RAW).
         w.note_write(Reg(1), 0, 8);
-        assert!(!w.scoreboard_ready(&instr, 7));
-        assert!(w.scoreboard_ready(&instr, 8));
-        // Pending write to the destination (WAW) blocks issue.
+        assert_eq!(w.ready_cycle(&instr), 8);
+        // A pending write to the destination delays issue (WAW).
         w.note_write(Reg(0), 9, 17);
-        assert!(!w.scoreboard_ready(&instr, 16));
-        assert!(w.scoreboard_ready(&instr, 17));
+        assert_eq!(w.ready_cycle(&instr), 17);
+        // Registers the instruction does not name do not matter.
+        w.note_write(Reg(3), 10, 40);
+        assert_eq!(w.ready_cycle(&instr), 17);
     }
 
     #[test]

@@ -38,6 +38,12 @@ invariants:
 campaign-smoke:
     ./scripts/campaign_smoke.sh
 
+# Paper transcript check: `warped all --paper` must reproduce
+# experiments_paper.txt byte for byte (`./scripts/paper_check.sh --update`
+# regenerates it after an intended change).
+paper-check:
+    ./scripts/paper_check.sh
+
 # Throughput harness: writes BENCH_simulator.json at the repo root.
 bench:
     ./scripts/bench.sh

@@ -24,4 +24,11 @@ cargo run -q -p warped-cli -- invariants --check
 # command exits non-zero on any violation or unsound bound.
 cargo run -q -p warped-cli -- certify SHA --depth 6 > /dev/null
 cargo run -q -p warped-cli -- certify BitonicSort --depth 6 > /dev/null
+
+# Paper transcript: `warped all --paper` reproduces experiments_paper.txt.
+./scripts/paper_check.sh
+
+# The benchmark's own tests (statistics, span self time, and the
+# BENCHMARK.json <-> emitted metric names check).
+cargo test -q --manifest-path perfbench/Cargo.toml
 echo "lint: clean"
