@@ -34,7 +34,6 @@
 //!                                 resilient fault campaigns: masked/detected/
 //!                                 SDC/hang taxonomy, checker-internal fault
 //!                                 sites, crash-safe resumable checkpointing
-//! warped bench     [--check]      throughput harness -> BENCH_simulator.json
 //! warped all       [--paper]      tables, figures, profile, faults and
 //!                                 ablations, in order (deterministic: the
 //!                                 `--paper` output is `experiments_paper.txt`)
@@ -57,7 +56,7 @@ fn usage() -> &'static str {
     "usage: warped <figure1|figure5|figure8a|figure8b|figure9a|figure9b|figure10|figure11|\
      table1|config|faults|ablation|diagnose <benchmark>|analyze <benchmark>|\n\
      certify <benchmark>|disasm <benchmark>|trace <benchmark>|invariants|\
-     run <benchmark>|figures|campaign [<benchmark>]|bench|all>\n\
+     run <benchmark>|figures|campaign [<benchmark>]|all>\n\
      options: [--paper|--quick] [--csv] [--json] [--trials N] [--count N]\n\
      \u{20}        [--threads N] [--seed N] [--check] [--format jsonl|chrome]\n\
      \u{20}        [--out PATH] [--invariants] [--site CLASS] [--checkpoint PATH]\n\
@@ -312,32 +311,6 @@ fn run_command(args: &Args) -> Result<(), ExperimentError> {
                 })?;
             }
         }
-        "bench" => {
-            // --check: tiny smoke scale (the Criterion bench_config
-            // scale), stdout only; otherwise time the configured scale
-            // and write BENCH_simulator.json for scripts/bench.sh.
-            let bcfg = if args.check {
-                ExperimentConfig::test_tiny()
-                    .with_threads(warped::runner::resolve_threads(args.threads))
-            } else {
-                cfg.clone()
-            };
-            heading(&format!(
-                "Throughput: {:?} scale, {} worker(s)",
-                bcfg.size, bcfg.threads
-            ));
-            let report = experiments::throughput::run(&bcfg)?;
-            println!("{}", report.to_json());
-            if !args.check {
-                std::fs::write("BENCH_simulator.json", report.to_json() + "\n").map_err(|e| {
-                    ExperimentError::Io {
-                        path: "BENCH_simulator.json".to_string(),
-                        source: e,
-                    }
-                })?;
-                println!("wrote BENCH_simulator.json");
-            }
-        }
         "profile" => {
             heading("Coverage by warp utilization (paper \u{00a7}3.3)");
             let (_, t) = experiments::coverage_profile::run(&cfg)?;
@@ -523,8 +496,6 @@ fn run_command(args: &Args) -> Result<(), ExperimentError> {
             );
         }
         "all" => {
-            // No `bench`: its wall-clock block would make the transcript
-            // non-deterministic, and it rewrites BENCH_simulator.json.
             for cmd in [
                 "table1", "config", "figures", "profile", "faults", "ablation",
             ] {

@@ -30,32 +30,9 @@ use warped_isa::{Reg, UnitType};
 use warped_sim::WARP_SIZE;
 use warped_trace::{TraceEvent, TraceHandle};
 
-/// How an instruction got verified (for the coverage/overhead breakdown).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VerifyKind {
-    /// Co-executed with a different-type successor (Algorithm 1 case 1).
-    CoExecute,
-    /// Dequeued from the ReplayQ alongside a different-type instruction
-    /// (case 2).
-    QueueCoExecute,
-    /// Verified in an idle issue slot.
-    IdleSlot,
-    /// ReplayQ full: eager re-execution behind a 1-cycle stall (case 3).
-    EagerStall,
-    /// Forced verification of an unverified producer before a dependent
-    /// consumer issues (RAW rule), 1 stall cycle each.
-    RawStall,
-    /// Drained at kernel end or into a spare slot.
-    Drain,
-}
-
-impl VerifyKind {
-    /// The trace-layer kind with the same meaning (both enums declare
-    /// the kinds in the same order).
-    fn trace_kind(self) -> warped_trace::VerifyKind {
-        warped_trace::VerifyKind::ALL[self as usize]
-    }
-}
+/// How an instruction got verified; owned by the trace layer so the
+/// checker's counters and its `Verify` events share one vocabulary.
+pub use warped_trace::VerifyKind;
 
 /// A verification event: `entry` was verified at `cycle` via `kind`.
 #[derive(Debug, Clone)]
@@ -93,8 +70,7 @@ pub struct Incoming {
 /// Counters for the checker's behaviour.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CheckerStats {
-    /// Verifications by kind, indexed like [`VerifyKind`] declaration
-    /// order.
+    /// Verifications by kind, indexed by [`VerifyKind::index`].
     pub verified: [u64; 6],
     /// Instructions that passed through the ReplayQ.
     pub enqueued: u64,
@@ -113,7 +89,7 @@ impl CheckerStats {
     }
 
     fn bump(&mut self, kind: VerifyKind) {
-        self.verified[kind as usize] += 1;
+        self.verified[kind.index()] += 1;
     }
 }
 
@@ -240,7 +216,7 @@ impl ReplayChecker {
             warp: entry.warp_uid,
             unit: entry.unit,
             dst: entry.dst,
-            kind: kind.trace_kind(),
+            kind,
             issued: entry.cycle,
             active: entry.mask.count_ones(),
         });

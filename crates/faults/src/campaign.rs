@@ -1,30 +1,6 @@
-//! Monte-Carlo fault-injection campaigns.
-//!
-//! Each trial injects one fault into a protected run and records whether
-//! the DMR comparator caught it. Transient detection rates validate the
-//! analytic coverage of paper Fig. 9a; stuck-at campaigns demonstrate the
-//! lane-shuffling claim of §3.2 (same-core verification hides permanent
-//! faults).
-//!
-//! ## Parallelism and determinism
-//!
-//! Trials are grouped into fixed-size chunks (see
-//! [`CampaignOptions::chunk_trials`]) and the chunks run through a
-//! [`warped_runner::Runner`]. Chunk `c` owns a private `StdRng` seeded
-//! `seed ^ c`, and chunk boundaries depend only on the chunk size —
-//! never on the worker count — so a campaign's result is bit-identical
-//! at any `--threads` setting.
-
-use crate::injector::{random_bit, ExecutionSampler, SampledIssue};
-use crate::model::FaultModel;
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
-use warped_baselines::Dmtr;
-use warped_core::mapping::physical_lane;
-use warped_core::{DmrConfig, LaneSite, WarpedDmr};
-use warped_kernels::Workload;
-use warped_runner::Runner;
-use warped_sim::{GpuConfig, SimError, WARP_SIZE};
+//! Campaign vocabulary shared by both projections of the campaign
+//! engine in [`crate::resilient`]: the protection scheme under test,
+//! the outcome counts, and the default Monte-Carlo geometry.
 
 /// Default reservoir capacity of the profiling sampler: enough sites
 /// for statistically tight campaigns on every suite benchmark while
@@ -36,42 +12,6 @@ pub const DEFAULT_SAMPLER_CAPACITY: usize = 4096;
 /// stays a rounding error of total cost.
 pub const DEFAULT_CHUNK_TRIALS: u32 = 8;
 
-/// Tuning knobs of a campaign (the Monte-Carlo geometry, not the fault
-/// model). [`Default`] gives the documented constants and sizes the
-/// worker pool like every other layer
-/// ([`warped_runner::default_threads`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CampaignOptions {
-    /// Reservoir capacity of the profiling [`ExecutionSampler`]
-    /// (default [`DEFAULT_SAMPLER_CAPACITY`]).
-    pub sampler_capacity: usize,
-    /// Trials per seeding chunk (default [`DEFAULT_CHUNK_TRIALS`]).
-    /// Changing this changes which faults a seed draws; changing the
-    /// thread count never does.
-    pub chunk_trials: u32,
-    /// Worker threads running trial chunks concurrently.
-    pub threads: usize,
-}
-
-impl Default for CampaignOptions {
-    fn default() -> Self {
-        CampaignOptions {
-            sampler_capacity: DEFAULT_SAMPLER_CAPACITY,
-            chunk_trials: DEFAULT_CHUNK_TRIALS,
-            threads: warped_runner::default_threads(),
-        }
-    }
-}
-
-impl CampaignOptions {
-    /// A copy with the given worker count (zero clamps to one).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-}
-
 /// Which engine protects the runs of a campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Protection {
@@ -81,14 +21,14 @@ pub enum Protection {
     Dmtr,
 }
 
-/// Outcome of a campaign.
+/// Outcome counts of a campaign.
 ///
-/// The legacy detection campaigns ([`transient_campaign`],
-/// [`stuck_at_campaign`]) populate `trials`/`detected` only; the
-/// resilient campaigns ([`crate::resilient::resilient_campaign`])
-/// classify every trial into the full masked/detected/SDC/hang
-/// taxonomy and additionally record the planned-vs-completed gap when
-/// chunks were skipped after exhausting their retry budget.
+/// [`resilient_campaign`](crate::resilient_campaign) classifies every
+/// completed trial into the masked/detected/SDC/hang taxonomy;
+/// [`detection_campaign`](crate::detection_campaign) fills in `detected`
+/// only, leaving its undetected trials unclassified. Both record the
+/// planned-vs-completed gap when chunks were skipped after exhausting
+/// their retry budget.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CampaignResult {
     /// Faults injected (trials that actually completed).
@@ -101,8 +41,7 @@ pub struct CampaignResult {
     pub sdc: u32,
     /// Trials that exceeded their cycle/wall budget undetected.
     pub hangs: u32,
-    /// Trials the campaign planned (`trials + skipped`); zero in
-    /// legacy campaigns, which never skip.
+    /// Trials the campaign planned (`trials + skipped`).
     pub planned: u32,
     /// Trials lost to chunks that exhausted their retry budget.
     pub skipped: u32,
@@ -129,19 +68,9 @@ impl CampaignResult {
         }
     }
 
-    /// The interval denominator: planned trials when known (resilient
-    /// campaigns), completed trials otherwise.
-    pub fn denominator(&self) -> u32 {
-        if self.planned > 0 {
-            self.planned
-        } else {
-            self.trials
-        }
-    }
-
-    /// Observed rate of one class, in percent of the denominator.
+    /// Observed rate of one class, in percent of the planned trials.
     pub fn rate_pct(&self, class: crate::outcome::TrialOutcome) -> f64 {
-        let n = self.denominator();
+        let n = self.planned;
         if n == 0 {
             0.0
         } else {
@@ -156,7 +85,7 @@ impl CampaignResult {
     /// none did and the upper bound assumes all did. With nothing
     /// skipped this is the plain Wilson interval.
     pub fn interval_pct(&self, class: crate::outcome::TrialOutcome) -> (f64, f64) {
-        let n = self.denominator();
+        let n = self.planned;
         let c = self.count(class);
         let (lo, _) = crate::outcome::wilson_interval(c, n);
         let (_, hi) = crate::outcome::wilson_interval(c.saturating_add(self.skipped).min(n), n);
@@ -164,318 +93,9 @@ impl CampaignResult {
     }
 }
 
-/// Profile the workload under the *same* protection engine so sampled
-/// cycles align with the injected runs (DMR stalls shift the schedule).
-fn profile(
-    workload: &Workload,
-    gpu: &GpuConfig,
-    dmr: &DmrConfig,
-    protection: Protection,
-    seed: u64,
-    capacity: usize,
-) -> Result<ExecutionSampler, SimError> {
-    let mut sampler = ExecutionSampler::new(capacity, seed);
-    match protection {
-        Protection::WarpedDmr => {
-            let mut engine = WarpedDmr::new(dmr.clone(), gpu);
-            let mut multi = warped_sim::MultiObserver::new();
-            multi.push(&mut engine).push(&mut sampler);
-            workload.run_with(gpu, &mut multi)?;
-        }
-        Protection::Dmtr => {
-            let mut engine = Dmtr::new();
-            let mut multi = warped_sim::MultiObserver::new();
-            multi.push(&mut engine).push(&mut sampler);
-            workload.run_with(gpu, &mut multi)?;
-        }
-    }
-    Ok(sampler)
-}
-
-fn run_protected(
-    workload: &Workload,
-    gpu: &GpuConfig,
-    dmr: &DmrConfig,
-    protection: Protection,
-    fault: FaultModel,
-) -> Result<bool, SimError> {
-    match protection {
-        Protection::WarpedDmr => {
-            let mut engine = WarpedDmr::with_oracle(dmr.clone(), gpu, Box::new(fault));
-            workload.run_with(gpu, &mut engine)?;
-            Ok(engine.errors().any())
-        }
-        Protection::Dmtr => {
-            let mut engine = Dmtr::with_oracle(Box::new(fault));
-            workload.run_with(gpu, &mut engine)?;
-            Ok(engine.errors().any())
-        }
-    }
-}
-
-/// Which fault model a campaign injects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FaultKind {
-    Transient,
-    StuckAt,
-}
-
-/// Draw one fault for `kind` from the chunk's generator. The draw order
-/// (site, thread, bit, then value for stuck-at) is part of the seeding
-/// contract the determinism tests pin down.
-fn draw_fault(
-    kind: FaultKind,
-    samples: &[SampledIssue],
-    dmr: &DmrConfig,
-    protection: Protection,
-    rng: &mut StdRng,
-) -> FaultModel {
-    let ev = samples[rng.random_range(0..samples.len())];
-    let thread = ev.random_active_thread(rng);
-    // The original execution of `thread` happens on its mapped
-    // physical lane (DMTR has no mapping: lane = thread).
-    let lane = match protection {
-        Protection::WarpedDmr => physical_lane(dmr.mapping, thread, WARP_SIZE, dmr.cluster_size),
-        Protection::Dmtr => thread,
-    };
-    let site = LaneSite { sm: ev.sm, lane };
-    match kind {
-        FaultKind::Transient => FaultModel::TransientFlip {
-            site,
-            cycle: ev.cycle,
-            bit: random_bit(rng),
-        },
-        FaultKind::StuckAt => FaultModel::StuckAt {
-            site,
-            bit: random_bit(rng),
-            value: rng.random_bool(0.5),
-        },
-    }
-}
-
-/// Profile once, then run `trials` injected simulations in parallel
-/// chunks (chunk `c` reseeds `seed ^ c`; results are summed in chunk
-/// order, so the outcome is independent of the worker count).
-#[allow(clippy::too_many_arguments)]
-fn chunked_campaign(
-    kind: FaultKind,
-    workload: &Workload,
-    gpu: &GpuConfig,
-    dmr: &DmrConfig,
-    protection: Protection,
-    trials: u32,
-    seed: u64,
-    opts: &CampaignOptions,
-) -> Result<CampaignResult, SimError> {
-    let sampler = profile(workload, gpu, dmr, protection, seed, opts.sampler_capacity)?;
-    let samples = sampler.samples();
-    if samples.is_empty() || trials == 0 {
-        return Ok(CampaignResult::default());
-    }
-    let chunk = opts.chunk_trials.max(1);
-    let chunks = trials.div_ceil(chunk);
-    let per_chunk =
-        Runner::new(opts.threads).try_map(0..chunks, |c| -> Result<CampaignResult, SimError> {
-            let mut rng = StdRng::seed_from_u64(seed ^ u64::from(c));
-            let mut result = CampaignResult::default();
-            for _ in 0..chunk.min(trials - c * chunk) {
-                let fault = draw_fault(kind, samples, dmr, protection, &mut rng);
-                result.trials += 1;
-                if run_protected(workload, gpu, dmr, protection, fault)? {
-                    result.detected += 1;
-                }
-            }
-            Ok(result)
-        })?;
-    Ok(per_chunk
-        .into_iter()
-        .fold(CampaignResult::default(), |mut acc, r| {
-            acc.trials += r.trials;
-            acc.detected += r.detected;
-            acc
-        }))
-}
-
-/// Inject `trials` transient bit flips at sampled execution sites and
-/// count detections, with default [`CampaignOptions`].
-///
-/// # Errors
-///
-/// Propagates simulator errors from the profiling or injected runs.
-pub fn transient_campaign(
-    workload: &Workload,
-    gpu: &GpuConfig,
-    dmr: &DmrConfig,
-    protection: Protection,
-    trials: u32,
-    seed: u64,
-) -> Result<CampaignResult, SimError> {
-    transient_campaign_with(
-        workload,
-        gpu,
-        dmr,
-        protection,
-        trials,
-        seed,
-        &CampaignOptions::default(),
-    )
-}
-
-/// [`transient_campaign`] with explicit [`CampaignOptions`].
-///
-/// # Errors
-///
-/// Propagates simulator errors from the profiling or injected runs.
-pub fn transient_campaign_with(
-    workload: &Workload,
-    gpu: &GpuConfig,
-    dmr: &DmrConfig,
-    protection: Protection,
-    trials: u32,
-    seed: u64,
-    opts: &CampaignOptions,
-) -> Result<CampaignResult, SimError> {
-    chunked_campaign(
-        FaultKind::Transient,
-        workload,
-        gpu,
-        dmr,
-        protection,
-        trials,
-        seed,
-        opts,
-    )
-}
-
-/// Inject `trials` permanent stuck-at faults on lanes that demonstrably
-/// execute work, and count detections, with default [`CampaignOptions`].
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn stuck_at_campaign(
-    workload: &Workload,
-    gpu: &GpuConfig,
-    dmr: &DmrConfig,
-    protection: Protection,
-    trials: u32,
-    seed: u64,
-) -> Result<CampaignResult, SimError> {
-    stuck_at_campaign_with(
-        workload,
-        gpu,
-        dmr,
-        protection,
-        trials,
-        seed,
-        &CampaignOptions::default(),
-    )
-}
-
-/// [`stuck_at_campaign`] with explicit [`CampaignOptions`].
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn stuck_at_campaign_with(
-    workload: &Workload,
-    gpu: &GpuConfig,
-    dmr: &DmrConfig,
-    protection: Protection,
-    trials: u32,
-    seed: u64,
-    opts: &CampaignOptions,
-) -> Result<CampaignResult, SimError> {
-    chunked_campaign(
-        FaultKind::StuckAt,
-        workload,
-        gpu,
-        dmr,
-        protection,
-        trials,
-        seed,
-        opts,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use warped_kernels::{Benchmark, WorkloadSize};
-
-    #[test]
-    fn transients_on_fully_covered_workload_are_all_detected() {
-        // MatrixMul is 100% covered by inter-warp DMR: every injected
-        // transient must be caught.
-        let gpu = GpuConfig::small();
-        let w = Benchmark::MatrixMul.build(WorkloadSize::Tiny).unwrap();
-        let r = transient_campaign(
-            &w,
-            &gpu,
-            &DmrConfig::default(),
-            Protection::WarpedDmr,
-            6,
-            11,
-        )
-        .unwrap();
-        assert_eq!(r.trials, 6);
-        assert_eq!(
-            r.detection_rate_pct(),
-            100.0,
-            "detected {}/{}",
-            r.detected,
-            r.trials
-        );
-    }
-
-    #[test]
-    fn stuck_at_hidden_by_dmtr_but_caught_by_warped_dmr() {
-        let gpu = GpuConfig::small();
-        let w = Benchmark::MatrixMul.build(WorkloadSize::Tiny).unwrap();
-        let dmr = DmrConfig::default();
-        let warped = stuck_at_campaign(&w, &gpu, &dmr, Protection::WarpedDmr, 4, 3).unwrap();
-        assert_eq!(
-            warped.detection_rate_pct(),
-            100.0,
-            "lane shuffling must expose stuck-at faults ({}/{})",
-            warped.detected,
-            warped.trials
-        );
-        let dmtr = stuck_at_campaign(&w, &gpu, &dmr, Protection::Dmtr, 4, 3).unwrap();
-        assert_eq!(
-            dmtr.detected, 0,
-            "core affinity hides permanent faults on full warps"
-        );
-    }
-
-    #[test]
-    fn detection_rate_tracks_coverage_on_partially_covered_workload() {
-        // CUFFT never fills its warps (blockDim 24), so only intra-warp
-        // DMR applies. Cross mapping covers one of every three active
-        // lanes of the 24-wide masks: detection must be partial.
-        let gpu = GpuConfig::small();
-        let w = Benchmark::Fft.build(WorkloadSize::Tiny).unwrap();
-        let cfg = DmrConfig::default();
-        let r = transient_campaign(&w, &gpu, &cfg, Protection::WarpedDmr, 12, 1234).unwrap();
-        assert!(r.detected > 0, "some transients detected");
-        assert!(
-            r.detected < r.trials,
-            "partially covered FFT cannot catch everything ({}/{})",
-            r.detected,
-            r.trials
-        );
-
-        // And in-order mapping on contiguous masks catches ~nothing --
-        // the motivation for the paper's cross mapping.
-        let in_order = DmrConfig::baseline_in_order();
-        let r2 = transient_campaign(&w, &gpu, &in_order, Protection::WarpedDmr, 12, 1234).unwrap();
-        assert!(
-            r2.detected <= r.detected,
-            "in-order {} should not beat cross {}",
-            r2.detected,
-            r.detected
-        );
-    }
 
     #[test]
     fn empty_campaign_is_zero() {

@@ -10,13 +10,17 @@
 //! * [`injector::ExecutionSampler`] — reservoir-samples real issue events
 //!   from a profiling run so transients are injected where computation
 //!   actually happened.
-//! * [`campaign`] — drives repeated protected runs and classifies each
-//!   trial as detected or silent, for Warped-DMR and the DMTR baseline
-//!   (demonstrating the hidden-error problem of core affinity, §3.2).
-//! * [`resilient`] — crash-safe, resumable campaigns with the full
-//!   masked / detected / SDC / hang taxonomy ([`outcome`]), checker-
-//!   internal fault sites ([`model::CheckerFault`]), per-chunk panic
-//!   isolation with retries, and an fsynced checkpoint [`journal`].
+//! * [`resilient`] — the one campaign engine: a chunked Monte-Carlo
+//!   loop (golden profile, `seed ^ chunk` seeding, per-chunk panic
+//!   isolation with retries, an fsynced checkpoint [`journal`]) with two
+//!   projections. [`resilient_campaign`] classifies each trial into the
+//!   masked / detected / SDC / hang taxonomy ([`outcome`]), including
+//!   checker-internal fault sites ([`model::CheckerFault`]);
+//!   [`detection_campaign`] runs the detection simulation alone, for
+//!   Warped-DMR or the DMTR baseline (demonstrating the hidden-error
+//!   problem of core affinity, §3.2).
+//! * [`campaign`] — the vocabulary both projections share:
+//!   [`Protection`], [`CampaignResult`] and the default geometry.
 
 pub mod campaign;
 pub mod injector;
@@ -25,12 +29,12 @@ pub mod model;
 pub mod outcome;
 pub mod resilient;
 
-pub use campaign::{stuck_at_campaign, transient_campaign, CampaignResult};
+pub use campaign::{CampaignResult, Protection};
 pub use injector::ExecutionSampler;
 pub use journal::{ChunkCounts, ChunkRecord, Journal, JournalError, JournalHeader};
 pub use model::{CheckerFault, CompoundFault, FaultModel};
 pub use outcome::{wilson_interval, TrialOutcome};
 pub use resilient::{
-    resilient_campaign, CampaignError, FaultSiteClass, ForcedPanic, ResilientOptions,
-    ResilientReport,
+    detection_campaign, resilient_campaign, CampaignError, FaultSiteClass, ForcedPanic,
+    ResilientOptions, ResilientReport,
 };

@@ -1,18 +1,39 @@
-//! Resilient, resumable fault-injection campaigns with the full
-//! masked / detected / SDC / hang outcome taxonomy.
+//! The fault-campaign engine: one chunked Monte-Carlo loop with two
+//! public projections.
 //!
-//! Where the legacy campaigns ([`crate::campaign`]) answer one question
-//! — *did the comparator fire?* — a resilient campaign classifies every
-//! trial against a fault-free **golden run** (see
-//! [`crate::outcome::TrialOutcome`]) and survives the failure modes
-//! that kill long campaigns in practice:
+//! Every campaign profiles the workload once under its protection
+//! engine (the **golden run**, which also reservoir-samples issue
+//! events), then draws one fault per trial from chunk `c`'s private
+//! `StdRng::seed_from_u64(seed ^ c)` and folds the chunks in index
+//! order. What a trial simulates is the projection:
+//!
+//! * [`resilient_campaign`] — **two simulations per trial**, classified
+//!   into the masked / detected / SDC / hang taxonomy
+//!   ([`TrialOutcome`]):
+//!   1. a **detection run** — clean datapath, the DMR engine carries
+//!      the fault as a [`FaultOracle`](warped_core::FaultOracle)
+//!      ([`CompoundFault`]); this is where checker-internal faults act;
+//!   2. an **architectural run** — the same datapath fault attached to
+//!      the simulator itself ([`warped_sim::LaneFault`]), corrupting real
+//!      values; its final output is compared against golden. The DMR
+//!      engine rides along so its issue schedule matches the profile
+//!      (DMR stalls shift cycles; a transient sampled at cycle *c* must
+//!      strike cycle *c*).
+//! * [`detection_campaign`] — **one simulation per trial**: the
+//!   detection run alone, under Warped-DMR or the DMTR baseline
+//!   ([`Protection`]). It answers *did the comparator fire?*, which is
+//!   what validates Fig. 9a's coverage and the §3.2 lane-shuffling
+//!   claim; undetected trials stay unclassified.
+//!
+//! Both projections share the machinery that keeps long campaigns
+//! alive:
 //!
 //! * **Panic isolation** — each trial chunk runs under
 //!   [`warped_runner::Runner::map_retry`]: a panicking chunk is caught,
 //!   retried with capped backoff, and — if it keeps failing — *skipped*,
 //!   degrading the campaign to a partial result with honestly widened
 //!   confidence intervals instead of losing everything.
-//! * **Watchdogs** — injected runs execute under a cycle budget
+//! * **Watchdogs** — architectural runs execute under a cycle budget
 //!   (default: 8× the golden run plus slack) and an optional wall-clock
 //!   budget, so a fault that wedges the simulated machine classifies as
 //!   [`TrialOutcome::Hang`] instead of wedging the campaign.
@@ -20,25 +41,8 @@
 //!   finished chunk is durably recorded; resuming replays finished
 //!   chunks from disk and produces **bit-identical** results to an
 //!   uninterrupted campaign, at any worker count.
-//!
-//! ## Two simulations per trial
-//!
-//! Detection and architectural outcome are measured at different
-//! levels, so each trial runs twice from the same drawn fault:
-//!
-//! 1. a **detection run** — clean datapath, the DMR engine carries the
-//!    fault as a [`FaultOracle`](warped_core::FaultOracle)
-//!    ([`CompoundFault`]), exactly like the legacy campaigns (this is
-//!    where checker-internal faults act);
-//! 2. an **architectural run** — the same datapath fault attached to
-//!    the simulator itself ([`warped_sim::LaneFault`]), corrupting real
-//!    values; its final output is compared against golden.
-//!
-//! Both runs keep the DMR engine attached as an observer so their issue
-//! schedules match the golden profile (DMR stalls shift cycles; a
-//! transient sampled at cycle *c* must strike cycle *c*).
 
-use crate::campaign::{CampaignResult, DEFAULT_CHUNK_TRIALS, DEFAULT_SAMPLER_CAPACITY};
+use crate::campaign::{CampaignResult, Protection, DEFAULT_CHUNK_TRIALS, DEFAULT_SAMPLER_CAPACITY};
 use crate::injector::{random_bit, ExecutionSampler, SampledIssue};
 use crate::journal::{ChunkCounts, ChunkRecord, Journal, JournalError, JournalHeader};
 use crate::model::{CheckerFault, CompoundFault, FaultModel};
@@ -48,11 +52,12 @@ use rand::{RngExt, SeedableRng};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
+use warped_baselines::Dmtr;
 use warped_core::mapping::physical_lane;
 use warped_core::{DmrConfig, LaneSite, WarpedDmr};
 use warped_kernels::{ProgramRun, Workload};
 use warped_runner::{Attempted, RetryPolicy, Runner};
-use warped_sim::{GpuConfig, LaneFault, SimError, WARP_SIZE};
+use warped_sim::{GpuConfig, IssueObserver, LaneFault, SimError, WARP_SIZE};
 use warped_trace::{TraceEvent, TraceHandle};
 
 /// Which hardware site a campaign injects into. The first two target
@@ -150,10 +155,11 @@ pub struct ResilientOptions {
     pub threads: usize,
     /// Retry budget and backoff for panicking chunks.
     pub retry: RetryPolicy,
-    /// Cycle budget per injected launch; `0` = auto (8× the golden
-    /// run's total cycles, plus 10 000 slack).
+    /// Cycle budget per architectural run; `0` = auto (8× the golden
+    /// run's total cycles, plus 10 000 slack). Unused by
+    /// [`detection_campaign`], whose runs cannot hang.
     pub cycle_budget: u64,
-    /// Wall-clock budget per injected launch in milliseconds; `0`
+    /// Wall-clock budget per architectural run in milliseconds; `0`
     /// disables it. See `GpuConfig::wall_budget_ms` for the
     /// determinism caveat (the *hang cycle* becomes timing-dependent;
     /// the hang classification itself remains correct).
@@ -212,9 +218,11 @@ impl ResilientOptions {
     }
 }
 
-/// Why a resilient campaign could not produce a result at all (partial
-/// results from skipped chunks are *not* errors — they surface as
-/// `skipped > 0` in the report).
+/// Why a campaign could not produce a result at all (partial results
+/// from skipped chunks are *not* errors of the campaign itself — they
+/// surface as `skipped > 0` in the report, and
+/// [`ResilientReport::complete`] turns them into
+/// [`CampaignError::Incomplete`] for callers that need every trial).
 #[derive(Debug)]
 pub enum CampaignError {
     /// The golden/profiling run failed — nothing can be classified
@@ -222,6 +230,18 @@ pub enum CampaignError {
     Golden(SimError),
     /// The checkpoint journal could not be created, read, or appended.
     Journal(JournalError),
+    /// A checker-site class was asked of DMTR, which has no RFU,
+    /// ReplayQ or unverified-result slot to break.
+    NoCheckerUnderDmtr(FaultSiteClass),
+    /// Chunks were skipped after exhausting their retry budget.
+    Incomplete {
+        /// Benchmark name.
+        bench: String,
+        /// The injected fault-site class.
+        class: FaultSiteClass,
+        /// The skipped chunk indices.
+        failed_chunks: Vec<u32>,
+    },
 }
 
 impl std::fmt::Display for CampaignError {
@@ -229,6 +249,18 @@ impl std::fmt::Display for CampaignError {
         match self {
             CampaignError::Golden(e) => write!(f, "golden run failed: {e}"),
             CampaignError::Journal(e) => write!(f, "checkpoint journal: {e}"),
+            CampaignError::NoCheckerUnderDmtr(class) => write!(
+                f,
+                "fault site {class} is Warped-DMR checker hardware, which DMTR does not have"
+            ),
+            CampaignError::Incomplete {
+                bench,
+                class,
+                failed_chunks,
+            } => write!(
+                f,
+                "{bench} {class}: chunk(s) {failed_chunks:?} skipped after exhausting retries"
+            ),
         }
     }
 }
@@ -270,6 +302,24 @@ pub struct ResilientReport {
 }
 
 impl ResilientReport {
+    /// This report if every planned trial completed, otherwise
+    /// [`CampaignError::Incomplete`] naming the skipped chunks.
+    ///
+    /// # Errors
+    ///
+    /// [`CampaignError::Incomplete`] when `failed_chunks` is non-empty.
+    pub fn complete(self) -> Result<Self, CampaignError> {
+        if self.failed_chunks.is_empty() {
+            Ok(self)
+        } else {
+            Err(CampaignError::Incomplete {
+                bench: self.bench,
+                class: self.class,
+                failed_chunks: self.failed_chunks,
+            })
+        }
+    }
+
     /// Canonical JSON rendering. Deterministic: depends only on the
     /// campaign definition (bench, class, geometry, seed) and the
     /// classified counts — never on thread count, scheduling, or how
@@ -336,12 +386,17 @@ fn draw_fault(
     class: FaultSiteClass,
     samples: &[SampledIssue],
     dmr: &DmrConfig,
+    protection: Protection,
     rng: &mut StdRng,
 ) -> DrawnFault {
     let ev = samples[rng.random_range(0..samples.len())];
     let thread = ev.random_active_thread(rng);
     let bit = random_bit(rng);
-    let physical = physical_lane(dmr.mapping, thread, WARP_SIZE, dmr.cluster_size);
+    // DMTR has no thread→core mapping: a thread runs on its own lane.
+    let physical = match protection {
+        Protection::WarpedDmr => physical_lane(dmr.mapping, thread, WARP_SIZE, dmr.cluster_size),
+        Protection::Dmtr => thread,
+    };
     // The engine models the original execution on the mapped physical
     // lane; the simulator computes thread results by logical index.
     let detect_site = LaneSite {
@@ -447,24 +502,84 @@ impl LaneFault for ArchFault {
     }
 }
 
-/// Profile the workload under the DMR engine (for schedule-aligned
-/// sample cycles) and capture the golden architectural output.
+/// What each trial of the shared campaign loop simulates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Projection {
+    /// Detection run plus architectural run, classified against golden
+    /// ([`resilient_campaign`]).
+    Taxonomy,
+    /// Detection run only, under the given engine
+    /// ([`detection_campaign`]).
+    Detection(Protection),
+}
+
+impl Projection {
+    fn protection(self) -> Protection {
+        match self {
+            Projection::Taxonomy => Protection::WarpedDmr,
+            Projection::Detection(p) => p,
+        }
+    }
+
+    /// The class name a checkpoint journal pins: taxonomy journals keep
+    /// the bare wire name, detection journals are marked so neither
+    /// projection can resume the other's counts.
+    fn journal_class(self, class: FaultSiteClass) -> String {
+        match self {
+            Projection::Taxonomy => class.as_str().to_string(),
+            Projection::Detection(Protection::WarpedDmr) => format!("{class}+detect"),
+            Projection::Detection(Protection::Dmtr) => format!("{class}+dmtr_detect"),
+        }
+    }
+}
+
+/// Profile the workload under the protection engine (for
+/// schedule-aligned sample cycles) and capture the golden architectural
+/// output.
 fn golden_profile(
     workload: &Workload,
     gpu: &GpuConfig,
     dmr: &DmrConfig,
+    protection: Protection,
     seed: u64,
     capacity: usize,
 ) -> Result<(ProgramRun, ExecutionSampler), SimError> {
     let mut sampler = ExecutionSampler::new(capacity, seed);
-    let mut engine = WarpedDmr::new(dmr.clone(), gpu);
+    let mut engine: Box<dyn IssueObserver> = match protection {
+        Protection::WarpedDmr => Box::new(WarpedDmr::new(dmr.clone(), gpu)),
+        Protection::Dmtr => Box::new(Dmtr::new()),
+    };
     let mut multi = warped_sim::MultiObserver::new();
-    multi.push(&mut engine).push(&mut sampler);
+    multi.push(engine.as_mut()).push(&mut sampler);
     let run = workload.run_with(gpu, &mut multi)?;
     Ok((run, sampler))
 }
 
-/// Run one trial's two simulations and classify the outcome.
+/// Detection run: clean datapath, faulty oracle. Whether the
+/// comparator fired.
+fn detection_run(
+    workload: &Workload,
+    gpu: &GpuConfig,
+    dmr: &DmrConfig,
+    protection: Protection,
+    fault: CompoundFault,
+) -> Result<bool, SimError> {
+    Ok(match protection {
+        Protection::WarpedDmr => {
+            let mut engine = WarpedDmr::with_oracle(dmr.clone(), gpu, Box::new(fault));
+            workload.run_with(gpu, &mut engine)?;
+            engine.errors().any()
+        }
+        Protection::Dmtr => {
+            let mut engine = Dmtr::with_oracle(Box::new(fault));
+            workload.run_with(gpu, &mut engine)?;
+            engine.errors().any()
+        }
+    })
+}
+
+/// Run one trial of `projection`; `None` is an undetected trial of a
+/// detection campaign, which no run classifies further.
 ///
 /// Detection wins: a trial where the checker fired is `Detected` even
 /// if the corrupted run subsequently hung or produced wrong output — a
@@ -474,22 +589,30 @@ fn run_trial(
     clean_gpu: &GpuConfig,
     budgeted_gpu: &GpuConfig,
     dmr: &DmrConfig,
+    projection: Projection,
     fault: &DrawnFault,
     golden: &ProgramRun,
-) -> Result<TrialOutcome, SimError> {
-    // 1. Detection run: clean datapath, faulty oracle. The sim is
-    //    bit-identical to golden, so it runs unbudgeted (it cannot
-    //    hang) and any SimError here is a genuine bug to surface.
-    let mut engine = WarpedDmr::with_oracle(dmr.clone(), clean_gpu, Box::new(fault.detect));
-    workload.run_with(clean_gpu, &mut engine)?;
-    let detected = engine.errors().any();
+) -> Result<Option<TrialOutcome>, SimError> {
+    // 1. Detection run. The sim is bit-identical to golden, so it runs
+    //    unbudgeted (it cannot hang) and any SimError here is a genuine
+    //    bug to surface.
+    let detected = detection_run(
+        workload,
+        clean_gpu,
+        dmr,
+        projection.protection(),
+        fault.detect,
+    )?;
+    if let Projection::Detection(_) = projection {
+        return Ok(detected.then_some(TrialOutcome::Detected));
+    }
 
     // 2. Architectural run: real corruption, budgets armed. The DMR
     //    engine rides along (without an oracle) purely so the issue
     //    schedule matches the profile run's cycle numbering.
     let mut observer = WarpedDmr::new(dmr.clone(), budgeted_gpu);
     let arch = workload.run_faulted(budgeted_gpu, &mut observer, Arc::new(ArchFault(fault.arch)));
-    Ok(match arch {
+    Ok(Some(match arch {
         Err(SimError::Hang { .. }) => {
             if detected {
                 TrialOutcome::Detected
@@ -510,11 +633,12 @@ fn run_trial(
                 TrialOutcome::Masked
             }
         }
-    })
+    }))
 }
 
 /// Run a resilient campaign: `trials` classified injections of `class`
-/// into `workload` protected by Warped-DMR under `dmr`.
+/// into `workload` protected by Warped-DMR under `dmr`, two simulations
+/// per trial (see the [module docs](self)).
 ///
 /// Chunk `c` draws its trials from `StdRng::seed_from_u64(seed ^ c)`
 /// and results are folded in chunk order, so the outcome is
@@ -541,32 +665,110 @@ pub fn resilient_campaign(
     seed: u64,
     opts: &ResilientOptions,
 ) -> Result<ResilientReport, CampaignError> {
-    let chunk = opts.chunk_trials.max(1);
-    let (golden, sampler) = golden_profile(workload, gpu, dmr, seed, opts.sampler_capacity.max(1))
-        .map_err(CampaignError::Golden)?;
-    let samples = sampler.samples();
+    run_campaign(
+        workload,
+        gpu,
+        dmr,
+        Projection::Taxonomy,
+        class,
+        trials,
+        seed,
+        opts,
+    )
+}
 
-    let empty_report = |chunks| ResilientReport {
+/// Run a detection-only campaign: `trials` injections of `class` into
+/// `workload` under `protection`, one simulation per trial, counting the
+/// trials whose comparator fired (`result.detected`; the undetected
+/// rest stay unclassified, so `masked`, `sdc` and `hangs` read zero).
+///
+/// Under [`Protection::Dmtr`] the profile runs under DMTR and a fault
+/// strikes the lane of its own thread (DMTR has no thread→core
+/// mapping). Seeding, draws, retries and checkpointing are those of
+/// [`resilient_campaign`]; the cycle and wall budgets are unused.
+///
+/// # Errors
+///
+/// [`CampaignError::NoCheckerUnderDmtr`] for a checker-site class under
+/// DMTR, otherwise as [`resilient_campaign`].
+#[allow(clippy::too_many_arguments)]
+pub fn detection_campaign(
+    workload: &Workload,
+    gpu: &GpuConfig,
+    dmr: &DmrConfig,
+    protection: Protection,
+    class: FaultSiteClass,
+    trials: u32,
+    seed: u64,
+    opts: &ResilientOptions,
+) -> Result<ResilientReport, CampaignError> {
+    if protection == Protection::Dmtr && class.is_checker_site() {
+        return Err(CampaignError::NoCheckerUnderDmtr(class));
+    }
+    run_campaign(
+        workload,
+        gpu,
+        dmr,
+        Projection::Detection(protection),
+        class,
+        trials,
+        seed,
+        opts,
+    )
+}
+
+/// The one campaign loop behind both projections: golden profile,
+/// `seed ^ c` chunk seeding, draws, retries, journal and fold.
+#[allow(clippy::too_many_arguments)]
+fn run_campaign(
+    workload: &Workload,
+    gpu: &GpuConfig,
+    dmr: &DmrConfig,
+    projection: Projection,
+    class: FaultSiteClass,
+    trials: u32,
+    seed: u64,
+    opts: &ResilientOptions,
+) -> Result<ResilientReport, CampaignError> {
+    let protection = projection.protection();
+    let chunk = opts.chunk_trials.max(1);
+    let (golden, sampler) = golden_profile(
+        workload,
+        gpu,
+        dmr,
+        protection,
+        seed,
+        opts.sampler_capacity.max(1),
+    )
+    .map_err(CampaignError::Golden)?;
+    let samples = sampler.samples();
+    let chunks = if samples.is_empty() {
+        0
+    } else {
+        trials.div_ceil(chunk)
+    };
+    let report = |result, failed_chunks, retries_used, resumed_chunks| ResilientReport {
         bench: workload.name().to_string(),
         class,
         seed,
         chunk_trials: chunk,
         chunks,
-        result: CampaignResult {
+        result,
+        failed_chunks,
+        retries_used,
+        resumed_chunks,
+    };
+    if chunks == 0 {
+        let result = CampaignResult {
             planned: trials,
             ..Default::default()
-        },
-        failed_chunks: Vec::new(),
-        retries_used: 0,
-        resumed_chunks: 0,
-    };
-    if trials == 0 || samples.is_empty() {
-        return Ok(empty_report(0));
+        };
+        return Ok(report(result, Vec::new(), 0, 0));
     }
 
     let header = JournalHeader {
         bench: workload.name().to_string(),
-        class: class.as_str().to_string(),
+        class: projection.journal_class(class),
         trials,
         chunk_trials: chunk,
         seed,
@@ -591,7 +793,6 @@ pub fn resilient_campaign(
         .with_cycle_budget(budget)
         .with_wall_budget_ms(opts.wall_budget_ms);
 
-    let chunks = trials.div_ceil(chunk);
     let journal = journal.map(Mutex::new);
     let cached = &done;
     let attempted = Runner::new(opts.threads).map_retry(
@@ -613,7 +814,7 @@ pub fn resilient_campaign(
             let lo = c * chunk;
             for t in 0..chunk.min(trials - lo) {
                 let trial = lo + t;
-                let fault = draw_fault(class, samples, dmr, &mut rng);
+                let fault = draw_fault(class, samples, dmr, protection, &mut rng);
                 opts.trace.emit(|| TraceEvent::FaultInjected {
                     sm: fault.sm as u32,
                     trial,
@@ -625,13 +826,25 @@ pub fn resilient_campaign(
                     },
                     cycle: fault.strike,
                 });
-                let outcome = run_trial(workload, gpu, &budgeted_gpu, dmr, &fault, &golden)
-                    .unwrap_or_else(|e| panic!("trial {trial} detection run failed: {e}"));
+                let outcome = run_trial(
+                    workload,
+                    gpu,
+                    &budgeted_gpu,
+                    dmr,
+                    projection,
+                    &fault,
+                    &golden,
+                )
+                .unwrap_or_else(|e| panic!("trial {trial} detection run failed: {e}"));
                 opts.trace.emit(|| TraceEvent::TrialOutcome {
                     trial,
-                    outcome: outcome.as_str().to_string(),
+                    outcome: outcome
+                        .map_or("undetected", TrialOutcome::as_str)
+                        .to_string(),
                 });
-                counts.record(outcome);
+                if let Some(outcome) = outcome {
+                    counts.record(outcome);
+                }
             }
             if let Some(j) = &journal {
                 j.lock()
@@ -677,25 +890,18 @@ pub fn resilient_campaign(
         }
     }
 
-    Ok(ResilientReport {
-        bench: workload.name().to_string(),
-        class,
-        seed,
-        chunk_trials: chunk,
-        chunks,
-        result: CampaignResult {
-            trials: total.total(),
-            detected: total.detected,
-            masked: total.masked,
-            sdc: total.sdc,
-            hangs: total.hang,
-            planned: trials,
-            skipped,
-        },
-        failed_chunks,
-        retries_used,
-        resumed_chunks,
-    })
+    // Every chunk that was not skipped completed all of its trials,
+    // classified or (in a detection campaign) not.
+    let result = CampaignResult {
+        trials: trials - skipped,
+        detected: total.detected,
+        masked: total.masked,
+        sdc: total.sdc,
+        hangs: total.hang,
+        planned: trials,
+        skipped,
+    };
+    Ok(report(result, failed_chunks, retries_used, resumed_chunks))
 }
 
 #[cfg(test)]
@@ -982,5 +1188,193 @@ mod tests {
         .unwrap();
         assert_eq!(r.result.trials, 0);
         assert_eq!(r.chunks, 0);
+    }
+
+    fn detect(
+        w: &Workload,
+        dmr: &DmrConfig,
+        protection: Protection,
+        class: FaultSiteClass,
+        trials: u32,
+        seed: u64,
+        opts: &ResilientOptions,
+    ) -> ResilientReport {
+        let gpu = GpuConfig::small();
+        detection_campaign(w, &gpu, dmr, protection, class, trials, seed, opts).unwrap()
+    }
+
+    #[test]
+    fn transients_on_fully_covered_workload_are_all_detected() {
+        // MatrixMul is 100% covered by inter-warp DMR: every injected
+        // transient must be caught.
+        let w = Benchmark::MatrixMul.build(WorkloadSize::Tiny).unwrap();
+        let r = detect(
+            &w,
+            &DmrConfig::default(),
+            Protection::WarpedDmr,
+            FaultSiteClass::LaneTransient,
+            6,
+            11,
+            &ResilientOptions::default(),
+        )
+        .result;
+        assert_eq!(r.trials, 6);
+        assert_eq!(
+            r.detection_rate_pct(),
+            100.0,
+            "detected {}/{}",
+            r.detected,
+            r.trials
+        );
+    }
+
+    #[test]
+    fn stuck_at_hidden_by_dmtr_but_caught_by_warped_dmr() {
+        let w = Benchmark::MatrixMul.build(WorkloadSize::Tiny).unwrap();
+        let dmr = DmrConfig::default();
+        let opts = ResilientOptions::default();
+        let stuck = FaultSiteClass::LaneStuckAt;
+        let warped = detect(&w, &dmr, Protection::WarpedDmr, stuck, 4, 3, &opts).result;
+        assert_eq!(
+            warped.detection_rate_pct(),
+            100.0,
+            "lane shuffling must expose stuck-at faults ({}/{})",
+            warped.detected,
+            warped.trials
+        );
+        let dmtr = detect(&w, &dmr, Protection::Dmtr, stuck, 4, 3, &opts).result;
+        assert_eq!(
+            dmtr.detected, 0,
+            "core affinity hides permanent faults on full warps"
+        );
+        assert_eq!(dmtr.trials, 4);
+    }
+
+    #[test]
+    fn detection_rate_tracks_coverage_on_partially_covered_workload() {
+        // CUFFT never fills its warps (blockDim 24), so only intra-warp
+        // DMR applies. Cross mapping covers one of every three active
+        // lanes of the 24-wide masks: detection must be partial.
+        let w = Benchmark::Fft.build(WorkloadSize::Tiny).unwrap();
+        let opts = ResilientOptions::default();
+        let transient = FaultSiteClass::LaneTransient;
+        let cfg = DmrConfig::default();
+        let r = detect(&w, &cfg, Protection::WarpedDmr, transient, 12, 1234, &opts).result;
+        assert!(r.detected > 0, "some transients detected");
+        assert!(
+            r.detected < r.trials,
+            "partially covered FFT cannot catch everything ({}/{})",
+            r.detected,
+            r.trials
+        );
+
+        // And in-order mapping on contiguous masks catches ~nothing --
+        // the motivation for the paper's cross mapping.
+        let in_order = DmrConfig::baseline_in_order();
+        let r2 = detect(
+            &w,
+            &in_order,
+            Protection::WarpedDmr,
+            transient,
+            12,
+            1234,
+            &opts,
+        )
+        .result;
+        assert!(
+            r2.detected <= r.detected,
+            "in-order {} should not beat cross {}",
+            r2.detected,
+            r.detected
+        );
+    }
+
+    #[test]
+    fn detection_campaign_skips_a_chunk_beyond_its_retry_budget() {
+        let gpu = GpuConfig::small();
+        let w = Benchmark::Scan.build(WorkloadSize::Tiny).unwrap();
+        let dmr = DmrConfig::default();
+        let opts = ResilientOptions {
+            forced_panic: Some(ForcedPanic {
+                chunk: 1,
+                attempts: 100,
+            }),
+            ..tiny_opts()
+        };
+        let class = FaultSiteClass::LaneTransient;
+        let detection = detect(&w, &dmr, Protection::WarpedDmr, class, 8, 5, &opts);
+        let taxonomy = resilient_campaign(&w, &gpu, &dmr, class, 8, 5, &opts).unwrap();
+        for r in [&detection, &taxonomy] {
+            assert_eq!(r.failed_chunks, vec![1]);
+            assert_eq!(r.result.skipped, 2);
+            assert_eq!(r.result.trials, 6);
+            assert_eq!(r.result.planned, 8);
+        }
+        match detection.complete() {
+            Err(CampaignError::Incomplete { failed_chunks, .. }) => {
+                assert_eq!(failed_chunks, vec![1]);
+            }
+            other => panic!("a skipped chunk must make the report incomplete: {other:?}"),
+        }
+        assert!(
+            detect(&w, &dmr, Protection::WarpedDmr, class, 8, 5, &tiny_opts())
+                .complete()
+                .is_ok()
+        );
+    }
+
+    #[test]
+    fn checker_sites_under_dmtr_are_a_typed_error() {
+        let gpu = GpuConfig::small();
+        let w = Benchmark::Scan.build(WorkloadSize::Tiny).unwrap();
+        for class in FaultSiteClass::ALL {
+            let r = detection_campaign(
+                &w,
+                &gpu,
+                &DmrConfig::default(),
+                Protection::Dmtr,
+                class,
+                2,
+                1,
+                &tiny_opts(),
+            );
+            match r {
+                Err(CampaignError::NoCheckerUnderDmtr(c)) => {
+                    assert!(class.is_checker_site());
+                    assert_eq!(c, class);
+                }
+                Ok(_) => assert!(!class.is_checker_site(), "{class} must be refused"),
+                Err(e) => panic!("{class}: unexpected error {e}"),
+            }
+        }
+    }
+
+    #[test]
+    fn projections_never_resume_each_others_journals() {
+        let gpu = GpuConfig::small();
+        let w = Benchmark::Scan.build(WorkloadSize::Tiny).unwrap();
+        let dmr = DmrConfig::default();
+        let path = std::env::temp_dir().join(format!(
+            "warped-projection-journal-{}.jsonl",
+            std::process::id()
+        ));
+        let class = FaultSiteClass::LaneTransient;
+        let write = ResilientOptions {
+            checkpoint: Some(path.clone()),
+            ..tiny_opts()
+        };
+        detect(&w, &dmr, Protection::WarpedDmr, class, 4, 2, &write);
+        let resume = ResilientOptions {
+            resume: true,
+            ..write
+        };
+        let crossed = resilient_campaign(&w, &gpu, &dmr, class, 4, 2, &resume);
+        assert!(
+            matches!(crossed, Err(CampaignError::Journal(_))),
+            "a taxonomy campaign must refuse a detection journal: {crossed:?}"
+        );
+        let again = detect(&w, &dmr, Protection::WarpedDmr, class, 4, 2, &resume);
+        assert_eq!(again.resumed_chunks, 2);
+        let _ = std::fs::remove_file(&path);
     }
 }

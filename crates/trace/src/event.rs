@@ -7,21 +7,21 @@
 
 use warped_isa::{Reg, UnitType};
 
-/// How an instruction got verified — mirrors the Replay Checker's
-/// `VerifyKind` in `warped-core`, declared in the same order so the two
-/// can be mapped by index.
+/// How the Replay Checker got an instruction verified. `warped-core`
+/// re-exports this enum for its checker counters and events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VerifyKind {
     /// Co-executed with a different-type successor (Algorithm 1 case 1).
     CoExecute,
-    /// Dequeued alongside a different-type instruction (case 2).
+    /// Dequeued from the ReplayQ alongside a different-type instruction
+    /// (case 2).
     QueueCoExecute,
     /// Verified in an idle issue slot.
     IdleSlot,
-    /// ReplayQ full: eager re-execution behind a stall (case 3).
+    /// ReplayQ full: eager re-execution behind a 1-cycle stall (case 3).
     EagerStall,
     /// Forced verification of an unverified producer before a dependent
-    /// consumer proceeds (RAW rule).
+    /// consumer issues (RAW rule), 1 stall cycle each.
     RawStall,
     /// Drained at kernel end or into a spare slot.
     Drain,

@@ -8,7 +8,7 @@
 //! ```
 
 use warped::dmr::DmrConfig;
-use warped::faults::campaign::{stuck_at_campaign, transient_campaign, Protection};
+use warped::faults::{detection_campaign, FaultSiteClass, Protection, ResilientOptions};
 use warped::kernels::{Benchmark, WorkloadSize};
 use warped::sim::GpuConfig;
 
@@ -21,6 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let gpu = GpuConfig::small();
     let dmr = DmrConfig::default();
     let seed = 2026;
+    let opts = ResilientOptions::default();
 
     println!("{trials} faults of each kind per benchmark\n");
     println!(
@@ -34,15 +35,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Benchmark::Sha,
     ] {
         let w = bench.build(WorkloadSize::Tiny)?;
-        let t = transient_campaign(&w, &gpu, &dmr, Protection::WarpedDmr, trials, seed)?;
-        let s = stuck_at_campaign(&w, &gpu, &dmr, Protection::WarpedDmr, trials, seed)?;
-        let d = stuck_at_campaign(&w, &gpu, &dmr, Protection::Dmtr, trials, seed)?;
+        let pct = |protection, class| {
+            detection_campaign(&w, &gpu, &dmr, protection, class, trials, seed, &opts)?
+                .complete()
+                .map(|r| r.result.detection_rate_pct())
+        };
         println!(
             "{:12} {:>13.1}%   {:>13.1}%   {:>15.1}%",
             bench.name(),
-            t.detection_rate_pct(),
-            s.detection_rate_pct(),
-            d.detection_rate_pct(),
+            pct(Protection::WarpedDmr, FaultSiteClass::LaneTransient)?,
+            pct(Protection::WarpedDmr, FaultSiteClass::LaneStuckAt)?,
+            pct(Protection::Dmtr, FaultSiteClass::LaneStuckAt)?,
         );
     }
     println!(

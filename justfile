@@ -44,10 +44,13 @@ campaign-smoke:
 paper-check:
     ./scripts/paper_check.sh
 
-# Throughput harness: writes BENCH_simulator.json at the repo root.
-bench:
-    ./scripts/bench.sh
+# Host-time benchmark (perfbench/, declared in BENCHMARK.json): one
+# workload per process, e.g. `just bench` or `just bench certify`.
+# Workloads: paper-suite, fault-campaign, certify.
+bench workload="paper-suite":
+    cargo run --release --quiet --manifest-path perfbench/Cargo.toml -- --workload {{workload}} --seed 1 --seconds 40 --trace 0
 
-# Cheap smoke run of the throughput harness (tiny scale, no JSON file).
+# The benchmark harness's own tests (statistics, span accounting, and
+# the BENCHMARK.json <-> emitted metric names contract).
 bench-check:
-    ./scripts/bench.sh --check
+    cargo test --manifest-path perfbench/Cargo.toml

@@ -3,10 +3,10 @@
 //! scheduler does to instruction-type runs, and how duty-cycled
 //! (Sampling-)DMR trades coverage for overhead.
 
-use crate::experiments::{ExperimentConfig, ExperimentError};
+use crate::experiments::{faults_exp, ExperimentConfig, ExperimentError};
 use warped_baselines::ResidueChecker;
 use warped_core::{DmrConfig, SamplingConfig, SamplingDmr, WarpedDmr};
-use warped_faults::campaign::{stuck_at_campaign_with, CampaignOptions, Protection};
+use warped_faults::{FaultSiteClass, Protection};
 use warped_isa::UnitType;
 use warped_kernels::{Benchmark, WorkloadSize};
 use warped_sim::collectors::TypeSwitchCollector;
@@ -282,43 +282,35 @@ pub fn dual_issue(cfg: &ExperimentConfig) -> Result<(Vec<DualIssueRow>, Table), 
 ///
 /// # Errors
 ///
-/// Propagates workload and simulator errors.
+/// Propagates workload, simulator and campaign errors; a campaign that
+/// skipped a chunk is an error.
 pub fn shuffling(cfg: &ExperimentConfig, trials: u32, seed: u64) -> Result<Table, ExperimentError> {
     let mut table = Table::new(vec![
         "benchmark",
         "stuck-at detected, shuffled (%)",
         "stuck-at detected, affinity (%)",
     ]);
-    // Campaigns parallelize internally; keep the benchmark loop serial.
-    let opts = CampaignOptions::default().with_threads(cfg.threads);
+    let off_cfg = DmrConfig {
+        lane_shuffle: false,
+        ..DmrConfig::default()
+    };
     for bench in [Benchmark::MatrixMul, Benchmark::Sha, Benchmark::Libor] {
         let w = bench.build(WorkloadSize::Tiny)?;
-        let on = stuck_at_campaign_with(
-            &w,
-            &cfg.gpu,
-            &DmrConfig::default(),
-            Protection::WarpedDmr,
-            trials,
-            seed,
-            &opts,
-        )?;
-        let off_cfg = DmrConfig {
-            lane_shuffle: false,
-            ..DmrConfig::default()
+        let pct = |dmr: &DmrConfig| {
+            faults_exp::detection_pct(
+                cfg,
+                &w,
+                dmr,
+                Protection::WarpedDmr,
+                FaultSiteClass::LaneStuckAt,
+                trials,
+                seed,
+            )
         };
-        let off = stuck_at_campaign_with(
-            &w,
-            &cfg.gpu,
-            &off_cfg,
-            Protection::WarpedDmr,
-            trials,
-            seed,
-            &opts,
-        )?;
         table.row(vec![
             bench.name().to_string(),
-            format!("{:.1}", on.detection_rate_pct()),
-            format!("{:.1}", off.detection_rate_pct()),
+            format!("{:.1}", pct(&DmrConfig::default())?),
+            format!("{:.1}", pct(&off_cfg)?),
         ]);
     }
     Ok(table)

@@ -3,13 +3,11 @@
 
 use crate::experiments::{ExperimentConfig, ExperimentError};
 use warped_core::{DmrConfig, WarpedDmr};
-use warped_faults::campaign::{
-    stuck_at_campaign_with, transient_campaign_with, CampaignOptions, Protection,
-};
 use warped_faults::{
-    resilient_campaign, FaultSiteClass, ResilientOptions, ResilientReport, TrialOutcome,
+    detection_campaign, resilient_campaign, FaultSiteClass, Protection, ResilientOptions,
+    ResilientReport, TrialOutcome,
 };
-use warped_kernels::{Benchmark, WorkloadSize};
+use warped_kernels::{Benchmark, Workload, WorkloadSize};
 use warped_stats::Table;
 
 /// One benchmark's row of the fault-validation experiment.
@@ -33,21 +31,43 @@ pub struct FaultRow {
 pub const CAMPAIGN_BENCHMARKS: [Benchmark; 3] =
     [Benchmark::Bfs, Benchmark::MatrixMul, Benchmark::Scan];
 
+/// Detected percentage of one detection-only campaign over all
+/// `trials`. The campaign parallelizes its trial chunks internally, so
+/// callers keep their benchmark loops serial (no nested
+/// oversubscription).
+///
+/// # Errors
+///
+/// Propagates [`warped_faults::CampaignError`], including
+/// `Incomplete` when a chunk was skipped: a rate over fewer trials
+/// than asked for is never reported.
+pub(crate) fn detection_pct(
+    cfg: &ExperimentConfig,
+    w: &Workload,
+    dmr: &DmrConfig,
+    protection: Protection,
+    class: FaultSiteClass,
+    trials: u32,
+    seed: u64,
+) -> Result<f64, ExperimentError> {
+    let opts = ResilientOptions::default().with_threads(cfg.threads);
+    let report = detection_campaign(w, &cfg.gpu, dmr, protection, class, trials, seed, &opts)?;
+    Ok(report.complete()?.result.detection_rate_pct())
+}
+
 /// Run the campaigns. Injection always runs at `Tiny` size (each trial
 /// is a full simulation); `trials` faults of each kind per benchmark.
 ///
 /// # Errors
 ///
-/// Propagates workload and simulator errors.
+/// Propagates workload, simulator and campaign errors; a campaign that
+/// skipped a chunk is an error.
 pub fn run(
     cfg: &ExperimentConfig,
     trials: u32,
     seed: u64,
 ) -> Result<(Vec<FaultRow>, Table), ExperimentError> {
     let dmr = DmrConfig::default();
-    // The campaigns parallelize their trial chunks internally, so the
-    // benchmark loop stays serial (no nested oversubscription).
-    let opts = CampaignOptions::default().with_threads(cfg.threads);
     let mut rows = Vec::new();
     for bench in CAMPAIGN_BENCHMARKS {
         let w = bench.build(WorkloadSize::Tiny)?;
@@ -55,34 +75,13 @@ pub fn run(
         let run = w.run_with(&cfg.gpu, &mut engine)?;
         w.check(&run)?;
         let analytic = engine.report().coverage_pct();
-
-        let transient = transient_campaign_with(
-            &w,
-            &cfg.gpu,
-            &dmr,
-            Protection::WarpedDmr,
-            trials,
-            seed,
-            &opts,
-        )?;
-        let stuck = stuck_at_campaign_with(
-            &w,
-            &cfg.gpu,
-            &dmr,
-            Protection::WarpedDmr,
-            trials,
-            seed,
-            &opts,
-        )?;
-        let dmtr_stuck =
-            stuck_at_campaign_with(&w, &cfg.gpu, &dmr, Protection::Dmtr, trials, seed, &opts)?;
-
+        let pct = |protection, class| detection_pct(cfg, &w, &dmr, protection, class, trials, seed);
         rows.push(FaultRow {
             benchmark: bench,
             analytic_coverage_pct: analytic,
-            transient_detection_pct: transient.detection_rate_pct(),
-            stuck_detection_pct: stuck.detection_rate_pct(),
-            dmtr_stuck_detection_pct: dmtr_stuck.detection_rate_pct(),
+            transient_detection_pct: pct(Protection::WarpedDmr, FaultSiteClass::LaneTransient)?,
+            stuck_detection_pct: pct(Protection::WarpedDmr, FaultSiteClass::LaneStuckAt)?,
+            dmtr_stuck_detection_pct: pct(Protection::Dmtr, FaultSiteClass::LaneStuckAt)?,
         });
     }
     let mut table = Table::new(vec![

@@ -2,28 +2,49 @@
 //! whole benchmark runs.
 
 use warped::dmr::{DmrConfig, FaultOracle, LaneSite, WarpedDmr};
-use warped::faults::campaign::{stuck_at_campaign, transient_campaign, Protection};
-use warped::faults::FaultModel;
-use warped::kernels::{Benchmark, WorkloadSize};
+use warped::faults::{
+    detection_campaign, CampaignResult, FaultModel, FaultSiteClass, Protection, ResilientOptions,
+};
+use warped::kernels::{Benchmark, Workload, WorkloadSize};
 use warped::sim::GpuConfig;
 
 fn gpu() -> GpuConfig {
     GpuConfig::small()
 }
 
+/// A Warped-DMR detection campaign with default options.
+fn detect(
+    w: &Workload,
+    dmr: &DmrConfig,
+    class: FaultSiteClass,
+    trials: u32,
+    seed: u64,
+) -> CampaignResult {
+    let opts = ResilientOptions::default();
+    let r = detection_campaign(
+        w,
+        &gpu(),
+        dmr,
+        Protection::WarpedDmr,
+        class,
+        trials,
+        seed,
+        &opts,
+    );
+    r.unwrap().result
+}
+
 #[test]
 fn transient_detection_tracks_analytic_coverage() {
     // Fully covered workload: 100% detection.
     let w = Benchmark::Sha.build(WorkloadSize::Tiny).unwrap();
-    let r = transient_campaign(
+    let r = detect(
         &w,
-        &gpu(),
         &DmrConfig::default(),
-        Protection::WarpedDmr,
+        FaultSiteClass::LaneTransient,
         5,
         42,
-    )
-    .unwrap();
+    );
     assert_eq!(r.detected, r.trials, "SHA is 100% covered");
 }
 
@@ -36,7 +57,7 @@ fn uncovered_executions_produce_silent_corruptions() {
         ..DmrConfig::default()
     };
     let w = Benchmark::Bfs.build(WorkloadSize::Tiny).unwrap();
-    let r = transient_campaign(&w, &gpu(), &cfg, Protection::WarpedDmr, 8, 7).unwrap();
+    let r = detect(&w, &cfg, FaultSiteClass::LaneTransient, 8, 7);
     assert!(
         r.detected < r.trials,
         "disabling intra-warp DMR must lose coverage ({}/{})",
@@ -49,14 +70,14 @@ fn uncovered_executions_produce_silent_corruptions() {
 fn lane_shuffling_is_what_exposes_permanent_faults() {
     let w = Benchmark::Libor.build(WorkloadSize::Tiny).unwrap();
     let with_shuffle = DmrConfig::default();
-    let r1 = stuck_at_campaign(&w, &gpu(), &with_shuffle, Protection::WarpedDmr, 4, 9).unwrap();
+    let r1 = detect(&w, &with_shuffle, FaultSiteClass::LaneStuckAt, 4, 9);
     assert_eq!(r1.detected, r1.trials, "shuffled copies see the stuck lane");
 
     let no_shuffle = DmrConfig {
         lane_shuffle: false,
         ..DmrConfig::default()
     };
-    let r2 = stuck_at_campaign(&w, &gpu(), &no_shuffle, Protection::WarpedDmr, 4, 9).unwrap();
+    let r2 = detect(&w, &no_shuffle, FaultSiteClass::LaneStuckAt, 4, 9);
     assert_eq!(
         r2.detected, 0,
         "without shuffling, full-warp copies rerun on the faulty lane"
