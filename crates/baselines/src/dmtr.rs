@@ -6,7 +6,7 @@
 //! the *same* lanes, so permanent (stuck-at) faults produce identical
 //! wrong values twice and hide. The fault campaign demonstrates this.
 
-use warped_core::comparator::{compare_and_log, ErrorLog, FaultOracle};
+use warped_core::comparator::{CompareStage, ErrorLog, FaultOracle, Judges};
 use warped_sim::{IssueInfo, IssueObserver, WARP_SIZE};
 
 /// Per-instruction verification record awaiting its next-cycle slot.
@@ -47,8 +47,7 @@ pub struct Dmtr {
     pending: Vec<Option<Pending>>,
     /// Behaviour counters.
     pub stats: DmtrStats,
-    errors: ErrorLog,
-    oracle: Option<Box<dyn FaultOracle>>,
+    judges: Judges,
 }
 
 impl std::fmt::Debug for Dmtr {
@@ -71,22 +70,34 @@ impl Dmtr {
         Dmtr {
             pending: Vec::new(),
             stats: DmtrStats::default(),
-            errors: ErrorLog::default(),
-            oracle: None,
+            judges: Judges::default(),
         }
     }
 
-    /// DMTR with a fault oracle for detection experiments.
+    /// DMTR with a fault oracle for detection experiments, logging every
+    /// detection ([`Dmtr::errors`]).
     pub fn with_oracle(oracle: Box<dyn FaultOracle>) -> Self {
+        Self::with_judges(Judges::one(oracle))
+    }
+
+    /// DMTR judging every verification once per judge (one judge per
+    /// trial of a detection campaign chunk).
+    pub fn with_judges(judges: Judges) -> Self {
         Dmtr {
-            oracle: Some(oracle),
+            judges,
             ..Self::new()
         }
     }
 
-    /// Detected-error log.
+    /// Detected-error log of a single-oracle observer (the first
+    /// judge's; empty without an oracle).
     pub fn errors(&self) -> &ErrorLog {
-        &self.errors
+        self.judges.first_log()
+    }
+
+    /// The judges this observer compares through, in order.
+    pub fn judges(&self) -> &Judges {
+        &self.judges
     }
 
     fn slot(&mut self, sm: usize) -> &mut Option<Pending> {
@@ -98,15 +109,14 @@ impl Dmtr {
 
     fn verify(&mut self, sm: usize, p: Pending, verify_cycle: u64) {
         self.stats.covered_thread_instrs += u64::from(p.mask.count_ones());
-        if let Some(oracle) = self.oracle.as_deref() {
+        for judge in self.judges.live_on(sm) {
             for lane in 0..WARP_SIZE {
                 if p.mask & (1 << lane) == 0 {
                     continue;
                 }
                 // Core affinity: the copy runs on the SAME lane.
-                compare_and_log(
-                    oracle,
-                    &mut self.errors,
+                if judge.compare(
+                    CompareStage::Baseline,
                     sm,
                     p.warp_uid,
                     p.results[lane],
@@ -114,7 +124,10 @@ impl Dmtr {
                     p.cycle,
                     lane,
                     verify_cycle,
-                );
+                ) && judge.settled()
+                {
+                    break;
+                }
             }
         }
     }

@@ -160,6 +160,12 @@ impl ReplayChecker {
         self.queue.len()
     }
 
+    /// Whether nothing awaits verification: no RF-slot instruction and an
+    /// empty ReplayQ.
+    pub fn is_empty(&self) -> bool {
+        self.prev.is_none() && self.queue.is_empty()
+    }
+
     /// Observable verification state: the RF slot plus the buffered
     /// queue, oldest first. Drives the differential model checker in
     /// `warped-analysis`.

@@ -2,7 +2,7 @@
 //! simulator's issue stream.
 
 use crate::checker::{CheckerStats, Incoming, ReplayChecker, VerifyEvent};
-use crate::comparator::{compare_staged, CompareStage, ErrorLog, FaultOracle};
+use crate::comparator::{CompareStage, ErrorLog, FaultOracle, Judges};
 use crate::config::DmrConfig;
 use crate::intra::{self, IntraPlan};
 use crate::mapping::physical_lane;
@@ -41,7 +41,8 @@ pub struct DmrReport {
     pub bucket_covered: [u64; 5],
     /// Aggregated Replay Checker behaviour over all SMs.
     pub checker: CheckerStats,
-    /// Mismatches flagged by the comparator.
+    /// Mismatches flagged by the comparator, summed over the engine's
+    /// judges (a first-detection judge counts at most one).
     pub errors_detected: u64,
 }
 
@@ -130,8 +131,10 @@ pub struct WarpedDmr {
     checkers: Vec<ReplayChecker>,
     events: Vec<VerifyEvent>,
     report: DmrReport,
-    errors: ErrorLog,
-    oracle: Option<Box<dyn FaultOracle>>,
+    judges: Judges,
+    // (original, verifier) physical lanes of each logical lane's
+    // inter-warp comparison: fixed by the mapping and shuffle config.
+    lane_pairs: [(usize, usize); WARP_SIZE],
     trace: TraceHandle,
     // `intra::plan` is pure in (mask, config); kernels reuse a handful
     // of masks across millions of issues, so memoizing removes the
@@ -157,6 +160,13 @@ impl WarpedDmr {
     /// [`DmrConfig::assert_valid`]).
     pub fn new(config: DmrConfig, gpu: &GpuConfig) -> Self {
         config.assert_valid(WARP_SIZE);
+        let lane_pairs = std::array::from_fn(|t| {
+            let orig = physical_lane(config.mapping, t, WARP_SIZE, config.cluster_size);
+            (
+                orig,
+                verify_lane(orig, config.cluster_size, config.lane_shuffle),
+            )
+        });
         WarpedDmr {
             checkers: (0..gpu.num_sms)
                 .map(|_| ReplayChecker::new(config.replayq_entries))
@@ -164,8 +174,8 @@ impl WarpedDmr {
             config,
             events: Vec::new(),
             report: DmrReport::default(),
-            errors: ErrorLog::default(),
-            oracle: None,
+            judges: Judges::default(),
+            lane_pairs,
             trace: TraceHandle::disabled(),
             plan_cache: HashMap::new(),
         }
@@ -181,12 +191,22 @@ impl WarpedDmr {
         self.trace = trace;
     }
 
-    /// Create an engine whose comparator sees hardware through `oracle`
-    /// (fault-injection campaigns).
+    /// Create an engine whose comparator sees hardware through `oracle`,
+    /// logging every detection ([`WarpedDmr::errors`]).
     pub fn with_oracle(config: DmrConfig, gpu: &GpuConfig, oracle: Box<dyn FaultOracle>) -> Self {
-        let mut e = Self::new(config, gpu);
-        e.oracle = Some(oracle);
-        e
+        Self::with_judges(config, gpu, Judges::one(oracle))
+    }
+
+    /// Create an engine whose comparator judges every redundant
+    /// execution once per judge ([`WarpedDmr::judges`]). A fault
+    /// campaign passes one first-detection judge per trial
+    /// ([`Judges::first_only`]), so one fault-free run decides every
+    /// trial's detection.
+    pub fn with_judges(config: DmrConfig, gpu: &GpuConfig, judges: Judges) -> Self {
+        WarpedDmr {
+            judges,
+            ..Self::new(config, gpu)
+        }
     }
 
     /// The engine's configuration.
@@ -210,13 +230,19 @@ impl WarpedDmr {
                 acc.max_queue = acc.max_queue.max(c.stats.max_queue);
                 acc
             });
-        r.errors_detected = self.errors.total();
+        r.errors_detected = self.judges.total();
         r
     }
 
-    /// Detected-error log.
+    /// Detected-error log of a single-oracle engine (the first judge's;
+    /// empty without an oracle).
     pub fn errors(&self) -> &ErrorLog {
-        &self.errors
+        self.judges.first_log()
+    }
+
+    /// The judges this engine compares through, in order.
+    pub fn judges(&self) -> &Judges {
+        &self.judges
     }
 
     fn checker(&mut self, sm: usize) -> &mut ReplayChecker {
@@ -229,29 +255,25 @@ impl WarpedDmr {
         &mut self.checkers[sm]
     }
 
-    /// Run comparator checks for one inter-warp verification event.
+    /// Account and judge the inter-warp verification events the checker
+    /// just produced on `sm`.
     fn settle_events(&mut self, sm: usize) {
-        let events = std::mem::take(&mut self.events);
-        for ev in &events {
+        for ev in &self.events {
             let n = ev.entry.mask.count_ones();
             self.report.inter_covered += u64::from(n);
             self.report.bucket_covered[bucket_of(n)] += u64::from(n);
-            if let Some(oracle) = self.oracle.as_deref() {
+            for judge in self.judges.live_on(sm) {
                 // A ReplayQ metadata fault can only *drop* mask bits: a
                 // phantom set bit would compare garbage the entry never
                 // stored, so the corrupted mask is intersected with the
                 // real one. Dropped bits silently skip verification.
-                let stored_mask = oracle.entry_mask(sm, ev.entry.mask) & ev.entry.mask;
+                let stored_mask = judge.oracle().entry_mask(sm, ev.entry.mask) & ev.entry.mask;
                 for t in 0..WARP_SIZE {
                     if stored_mask & (1 << t) == 0 {
                         continue;
                     }
-                    let orig =
-                        physical_lane(self.config.mapping, t, WARP_SIZE, self.config.cluster_size);
-                    let ver = verify_lane(orig, self.config.cluster_size, self.config.lane_shuffle);
-                    if compare_staged(
-                        oracle,
-                        &mut self.errors,
+                    let (orig, ver) = self.lane_pairs[t];
+                    if judge.compare(
                         CompareStage::Inter,
                         sm,
                         ev.entry.warp_uid,
@@ -267,11 +289,13 @@ impl WarpedDmr {
                             warp: ev.entry.warp_uid,
                             lane: orig as u32,
                         });
+                        if judge.settled() {
+                            break;
+                        }
                     }
                 }
             }
         }
-        self.events = events;
         self.events.clear();
     }
 }
@@ -311,11 +335,9 @@ impl IssueObserver for WarpedDmr {
                 active: p_active,
                 covered: p_covered,
             });
-            if let Some(oracle) = self.oracle.as_deref() {
+            for judge in self.judges.live_on(info.sm_id) {
                 for (ver, act, thread) in &plan.pairs {
-                    if compare_staged(
-                        oracle,
-                        &mut self.errors,
+                    if judge.compare(
                         CompareStage::Intra,
                         info.sm_id,
                         info.warp_uid,
@@ -331,6 +353,9 @@ impl IssueObserver for WarpedDmr {
                             warp: info.warp_uid,
                             lane: *act as u32,
                         });
+                        if judge.settled() {
+                            break;
+                        }
                     }
                 }
             }
@@ -358,7 +383,9 @@ impl IssueObserver for WarpedDmr {
     }
 
     fn on_idle(&mut self, sm_id: usize, cycle: u64) {
-        if !self.config.enable_inter {
+        // An idle slot only verifies what the checker holds: with an empty
+        // RF slot and ReplayQ it does nothing.
+        if !self.config.enable_inter || self.checkers.get(sm_id).is_none_or(|c| c.is_empty()) {
             return;
         }
         let mut events = std::mem::take(&mut self.events);

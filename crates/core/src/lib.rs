@@ -53,7 +53,7 @@ pub mod rfu;
 pub mod sampling;
 pub mod shuffle;
 
-pub use comparator::{CompareStage, DetectedError, ErrorLog, FaultOracle, LaneSite};
+pub use comparator::{CompareStage, DetectedError, ErrorLog, FaultOracle, Judge, Judges, LaneSite};
 pub use config::{DmrConfig, ThreadCoreMapping};
 pub use diagnosis::{diagnose, Diagnosis};
 pub use engine::{DmrReport, WarpedDmr};

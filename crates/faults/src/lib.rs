@@ -16,7 +16,8 @@
 //!   projections. [`resilient_campaign`] classifies each trial into the
 //!   masked / detected / SDC / hang taxonomy ([`outcome`]), including
 //!   checker-internal fault sites ([`model::CheckerFault`]);
-//!   [`detection_campaign`] runs the detection simulation alone, for
+//!   [`detection_campaign`] runs the detection simulation alone (one
+//!   fault-free run judges a whole chunk of trials), for
 //!   Warped-DMR or the DMTR baseline (demonstrating the hidden-error
 //!   problem of core affinity, §3.2).
 //! * [`campaign`] — the vocabulary both projections share:

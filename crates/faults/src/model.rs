@@ -76,6 +76,10 @@ impl FaultOracle for FaultModel {
             }
         }
     }
+
+    fn touches(&self, sm: usize) -> bool {
+        self.site().sm == sm
+    }
 }
 
 /// A fault inside the detection hardware itself — the paper's §3.2
@@ -181,6 +185,10 @@ impl FaultOracle for CheckerFault {
             _ => mask,
         }
     }
+
+    fn touches(&self, sm: usize) -> bool {
+        self.sm() == sm
+    }
 }
 
 /// A datapath fault and/or a checker-internal fault active in the same
@@ -247,6 +255,10 @@ impl FaultOracle for CompoundFault {
             Some(c) => c.entry_mask(sm, mask),
             None => mask,
         }
+    }
+
+    fn touches(&self, sm: usize) -> bool {
+        self.lane.is_some_and(|f| f.touches(sm)) || self.checker.is_some_and(|c| c.touches(sm))
     }
 }
 

@@ -5,25 +5,28 @@
 //! engine (the **golden run**, which also reservoir-samples issue
 //! events), then draws one fault per trial from chunk `c`'s private
 //! `StdRng::seed_from_u64(seed ^ c)` and folds the chunks in index
-//! order. What a trial simulates is the projection:
+//! order. Each chunk first decides detection for all of its trials in
+//! one **detection run**: a clean datapath, with the protection engine
+//! judging every comparison against each drawn fault's
+//! [`FaultOracle`] ([`CompoundFault`]; [`Judges`]). An oracle changes
+//! verdicts and never the schedule, so this run is the golden run
+//! again and each judge sees what a run carrying only its fault would;
+//! this is where checker-internal faults act. What follows is the
+//! projection:
 //!
-//! * [`resilient_campaign`] — **two simulations per trial**, classified
-//!   into the masked / detected / SDC / hang taxonomy
-//!   ([`TrialOutcome`]):
-//!   1. a **detection run** — clean datapath, the DMR engine carries
-//!      the fault as a [`FaultOracle`](warped_core::FaultOracle)
-//!      ([`CompoundFault`]); this is where checker-internal faults act;
-//!   2. an **architectural run** — the same datapath fault attached to
-//!      the simulator itself ([`warped_sim::LaneFault`]), corrupting real
-//!      values; its final output is compared against golden. The DMR
-//!      engine rides along so its issue schedule matches the profile
-//!      (DMR stalls shift cycles; a transient sampled at cycle *c* must
-//!      strike cycle *c*).
-//! * [`detection_campaign`] — **one simulation per trial**: the
-//!   detection run alone, under Warped-DMR or the DMTR baseline
-//!   ([`Protection`]). It answers *did the comparator fire?*, which is
-//!   what validates Fig. 9a's coverage and the §3.2 lane-shuffling
-//!   claim; undetected trials stay unclassified.
+//! * [`resilient_campaign`] — classified into the masked / detected /
+//!   SDC / hang taxonomy ([`TrialOutcome`]). A detected trial is
+//!   `Detected` outright; every other trial adds an **architectural
+//!   run** — the same datapath fault attached to the simulator itself
+//!   ([`warped_sim::LaneFault`]), corrupting real values; its final
+//!   output is compared against golden. The DMR engine rides along so
+//!   its issue schedule matches the profile (DMR stalls shift cycles; a
+//!   transient sampled at cycle *c* must strike cycle *c*).
+//! * [`detection_campaign`] — **the detection run alone**, under
+//!   Warped-DMR or the DMTR baseline ([`Protection`]): one simulation
+//!   per chunk. It answers *did the comparator fire?*, which is what
+//!   validates Fig. 9a's coverage and the §3.2 lane-shuffling claim;
+//!   undetected trials stay unclassified.
 //!
 //! Both projections share the machinery that keeps long campaigns
 //! alive:
@@ -54,7 +57,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use warped_baselines::Dmtr;
 use warped_core::mapping::physical_lane;
-use warped_core::{DmrConfig, LaneSite, WarpedDmr};
+use warped_core::{DmrConfig, FaultOracle, Judges, LaneSite, WarpedDmr};
 use warped_kernels::{ProgramRun, Workload};
 use warped_runner::{Attempted, RetryPolicy, Runner};
 use warped_sim::{GpuConfig, IssueObserver, LaneFault, SimError, WARP_SIZE};
@@ -131,7 +134,7 @@ impl std::fmt::Display for FaultSiteClass {
 
 /// Test hook: force chunk `chunk` to panic on its first `attempts`
 /// attempts, exercising the retry/degradation machinery on demand.
-/// The panic is raised *before* any trial runs, so a chunk that
+/// The panic is raised *before* any simulation runs, so a chunk that
 /// eventually succeeds produces exactly the counts it would have
 /// produced without the forced panics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -497,7 +500,6 @@ struct ArchFault(FaultModel);
 
 impl LaneFault for ArchFault {
     fn corrupt(&self, sm: usize, lane: usize, cycle: u64, value: u32) -> u32 {
-        use warped_core::FaultOracle;
         self.0.transform(LaneSite { sm, lane }, cycle, value)
     }
 }
@@ -555,90 +557,83 @@ fn golden_profile(
     Ok((run, sampler))
 }
 
-/// Detection run: clean datapath, faulty oracle. Whether the
-/// comparator fired.
+/// The detection run of one chunk: the workload once, fault-free, with
+/// every drawn fault's oracle judged side by side. Whether each trial's
+/// comparator fired, in draw order.
+///
+/// An oracle changes verdicts and never the schedule, so this run is
+/// the golden profile run again, and each judge sees exactly the
+/// comparisons a run carrying only its oracle would.
 fn detection_run(
     workload: &Workload,
     gpu: &GpuConfig,
     dmr: &DmrConfig,
     protection: Protection,
-    fault: CompoundFault,
-) -> Result<bool, SimError> {
+    faults: &[DrawnFault],
+) -> Result<Vec<bool>, SimError> {
+    let judges = Judges::first_only(
+        faults
+            .iter()
+            .map(|f| Box::new(f.detect) as Box<dyn FaultOracle>),
+    );
     Ok(match protection {
         Protection::WarpedDmr => {
-            let mut engine = WarpedDmr::with_oracle(dmr.clone(), gpu, Box::new(fault));
+            let mut engine = WarpedDmr::with_judges(dmr.clone(), gpu, judges);
             workload.run_with(gpu, &mut engine)?;
-            engine.errors().any()
+            engine.judges().fired()
         }
         Protection::Dmtr => {
-            let mut engine = Dmtr::with_oracle(Box::new(fault));
+            let mut engine = Dmtr::with_judges(judges);
             workload.run_with(gpu, &mut engine)?;
-            engine.errors().any()
+            engine.judges().fired()
         }
     })
 }
 
-/// Run one trial of `projection`; `None` is an undetected trial of a
-/// detection campaign, which no run classifies further.
+/// Classify one trial of `projection` whose detection verdict is
+/// `detected`; `None` is an undetected trial of a detection campaign,
+/// which no run classifies further.
 ///
 /// Detection wins: a trial where the checker fired is `Detected` even
-/// if the corrupted run subsequently hung or produced wrong output — a
-/// real deployment triggers recovery at the detection point.
+/// if the corrupted run would have hung or produced wrong output — a
+/// real deployment triggers recovery at the detection point — so only
+/// an undetected taxonomy trial runs its architectural simulation.
 fn run_trial(
     workload: &Workload,
-    clean_gpu: &GpuConfig,
     budgeted_gpu: &GpuConfig,
     dmr: &DmrConfig,
     projection: Projection,
     fault: &DrawnFault,
+    detected: bool,
     golden: &ProgramRun,
-) -> Result<Option<TrialOutcome>, SimError> {
-    // 1. Detection run. The sim is bit-identical to golden, so it runs
-    //    unbudgeted (it cannot hang) and any SimError here is a genuine
-    //    bug to surface.
-    let detected = detection_run(
-        workload,
-        clean_gpu,
-        dmr,
-        projection.protection(),
-        fault.detect,
-    )?;
+) -> Option<TrialOutcome> {
+    if detected {
+        return Some(TrialOutcome::Detected);
+    }
     if let Projection::Detection(_) = projection {
-        return Ok(detected.then_some(TrialOutcome::Detected));
+        return None;
     }
 
-    // 2. Architectural run: real corruption, budgets armed. The DMR
-    //    engine rides along (without an oracle) purely so the issue
-    //    schedule matches the profile run's cycle numbering.
+    // Architectural run: real corruption, budgets armed. The DMR engine
+    // rides along (without an oracle) purely so the issue schedule
+    // matches the profile run's cycle numbering.
     let mut observer = WarpedDmr::new(dmr.clone(), budgeted_gpu);
     let arch = workload.run_faulted(budgeted_gpu, &mut observer, Arc::new(ArchFault(fault.arch)));
-    Ok(Some(match arch {
-        Err(SimError::Hang { .. }) => {
-            if detected {
-                TrialOutcome::Detected
-            } else {
-                TrialOutcome::Hang
-            }
-        }
+    Some(match arch {
+        Err(SimError::Hang { .. }) => TrialOutcome::Hang,
         // Any other trap (deadlock, bad access from a corrupted
         // address…) is an observable failure: a detected,
         // unrecoverable error rather than silent corruption.
         Err(_) => TrialOutcome::Detected,
-        Ok(run) => {
-            if detected {
-                TrialOutcome::Detected
-            } else if run.output != golden.output {
-                TrialOutcome::Sdc
-            } else {
-                TrialOutcome::Masked
-            }
-        }
-    }))
+        Ok(run) if run.output != golden.output => TrialOutcome::Sdc,
+        Ok(_) => TrialOutcome::Masked,
+    })
 }
 
 /// Run a resilient campaign: `trials` classified injections of `class`
-/// into `workload` protected by Warped-DMR under `dmr`, two simulations
-/// per trial (see the [module docs](self)).
+/// into `workload` protected by Warped-DMR under `dmr`: one detection
+/// simulation per chunk, plus one architectural simulation per trial
+/// the checker did not catch (see the [module docs](self)).
 ///
 /// Chunk `c` draws its trials from `StdRng::seed_from_u64(seed ^ c)`
 /// and results are folded in chunk order, so the outcome is
@@ -678,9 +673,10 @@ pub fn resilient_campaign(
 }
 
 /// Run a detection-only campaign: `trials` injections of `class` into
-/// `workload` under `protection`, one simulation per trial, counting the
-/// trials whose comparator fired (`result.detected`; the undetected
-/// rest stay unclassified, so `masked`, `sdc` and `hangs` read zero).
+/// `workload` under `protection`, one simulation per chunk of trials,
+/// counting the trials whose comparator fired (`result.detected`; the
+/// undetected rest stay unclassified, so `masked`, `sdc` and `hangs`
+/// read zero).
 ///
 /// Under [`Protection::Dmtr`] the profile runs under DMTR and a fault
 /// strikes the lane of its own thread (DMTR has no thread→core
@@ -718,7 +714,8 @@ pub fn detection_campaign(
 }
 
 /// The one campaign loop behind both projections: golden profile,
-/// `seed ^ c` chunk seeding, draws, retries, journal and fold.
+/// `seed ^ c` chunk seeding, draws, one detection run per chunk,
+/// retries, journal and fold.
 #[allow(clippy::too_many_arguments)]
 fn run_campaign(
     workload: &Workload,
@@ -808,13 +805,20 @@ fn run_campaign(
                 }
             }
             // Re-seeded identically on every attempt, so a chunk that
-            // panicked and recovered draws exactly the same faults.
+            // panicked and recovered draws exactly the same faults. The
+            // draws are the rng's only consumer, so drawing the whole
+            // chunk up front draws what drawing trial by trial would.
             let mut rng = StdRng::seed_from_u64(seed ^ u64::from(c));
-            let mut counts = ChunkCounts::default();
             let lo = c * chunk;
-            for t in 0..chunk.min(trials - lo) {
-                let trial = lo + t;
-                let fault = draw_fault(class, samples, dmr, protection, &mut rng);
+            let faults: Vec<DrawnFault> = (0..chunk.min(trials - lo))
+                .map(|_| draw_fault(class, samples, dmr, protection, &mut rng))
+                .collect();
+            // The run is the golden run again, so a SimError here is a
+            // genuine bug: it panics into the chunk's retry.
+            let detected = detection_run(workload, gpu, dmr, protection, &faults)
+                .unwrap_or_else(|e| panic!("chunk {c} detection run failed: {e}"));
+            let mut counts = ChunkCounts::default();
+            for (trial, (fault, detected)) in (lo..).zip(faults.iter().zip(detected)) {
                 opts.trace.emit(|| TraceEvent::FaultInjected {
                     sm: fault.sm as u32,
                     trial,
@@ -828,14 +832,13 @@ fn run_campaign(
                 });
                 let outcome = run_trial(
                     workload,
-                    gpu,
                     &budgeted_gpu,
                     dmr,
                     projection,
-                    &fault,
+                    fault,
+                    detected,
                     &golden,
-                )
-                .unwrap_or_else(|e| panic!("trial {trial} detection run failed: {e}"));
+                );
                 opts.trace.emit(|| TraceEvent::TrialOutcome {
                     trial,
                     outcome: outcome
@@ -907,6 +910,7 @@ fn run_campaign(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use warped_core::{DetectedError, ErrorLog};
     use warped_kernels::{Benchmark, WorkloadSize};
 
     fn tiny_opts() -> ResilientOptions {
@@ -920,6 +924,91 @@ mod tests {
                 backoff_cap_ms: 0,
             },
             ..Default::default()
+        }
+    }
+
+    /// The first detection of every judge of one batched run, in order.
+    fn batched_first_detections(
+        w: &Workload,
+        gpu: &GpuConfig,
+        dmr: &DmrConfig,
+        protection: Protection,
+        faults: &[DrawnFault],
+    ) -> Vec<Option<DetectedError>> {
+        let judges = Judges::first_only(
+            faults
+                .iter()
+                .map(|f| Box::new(f.detect) as Box<dyn FaultOracle>),
+        );
+        let firsts = |judges: &Judges| -> Vec<Option<DetectedError>> {
+            judges
+                .iter()
+                .map(|j| j.log().events().first().copied())
+                .collect()
+        };
+        match protection {
+            Protection::WarpedDmr => {
+                let mut engine = WarpedDmr::with_judges(dmr.clone(), gpu, judges);
+                w.run_with(gpu, &mut engine).unwrap();
+                firsts(engine.judges())
+            }
+            Protection::Dmtr => {
+                let mut engine = Dmtr::with_judges(judges);
+                w.run_with(gpu, &mut engine).unwrap();
+                firsts(engine.judges())
+            }
+        }
+    }
+
+    /// The full detection log of a run carrying only `fault`.
+    fn single_oracle_log(
+        w: &Workload,
+        gpu: &GpuConfig,
+        dmr: &DmrConfig,
+        protection: Protection,
+        fault: CompoundFault,
+    ) -> ErrorLog {
+        match protection {
+            Protection::WarpedDmr => {
+                let mut engine = WarpedDmr::with_oracle(dmr.clone(), gpu, Box::new(fault));
+                w.run_with(gpu, &mut engine).unwrap();
+                engine.errors().clone()
+            }
+            Protection::Dmtr => {
+                let mut engine = Dmtr::with_oracle(Box::new(fault));
+                w.run_with(gpu, &mut engine).unwrap();
+                engine.errors().clone()
+            }
+        }
+    }
+
+    #[test]
+    fn batched_detection_equals_per_trial_single_oracle_runs() {
+        let gpu = GpuConfig::small();
+        let dmr = DmrConfig::default();
+        // The campaign benchmarks (`faults_exp::CAMPAIGN_BENCHMARKS`).
+        for bench in [Benchmark::Bfs, Benchmark::MatrixMul, Benchmark::Scan] {
+            let w = bench.build(WorkloadSize::Tiny).unwrap();
+            for protection in [Protection::WarpedDmr, Protection::Dmtr] {
+                let (_, sampler) = golden_profile(&w, &gpu, &dmr, protection, 3, 256).unwrap();
+                for class in FaultSiteClass::ALL {
+                    if protection == Protection::Dmtr && class.is_checker_site() {
+                        continue;
+                    }
+                    let mut rng = StdRng::seed_from_u64(0xd1ff ^ bench as u64);
+                    let faults: Vec<DrawnFault> = (0..DEFAULT_CHUNK_TRIALS)
+                        .map(|_| draw_fault(class, sampler.samples(), &dmr, protection, &mut rng))
+                        .collect();
+                    let fired = detection_run(&w, &gpu, &dmr, protection, &faults).unwrap();
+                    let firsts = batched_first_detections(&w, &gpu, &dmr, protection, &faults);
+                    for (i, fault) in faults.iter().enumerate() {
+                        let log = single_oracle_log(&w, &gpu, &dmr, protection, fault.detect);
+                        let what = format!("{bench} {protection:?} {class} trial {i}");
+                        assert_eq!(fired[i], log.any(), "{what}: verdict");
+                        assert_eq!(firsts[i], log.events().first().copied(), "{what}: first");
+                    }
+                }
+            }
         }
     }
 

@@ -55,8 +55,9 @@ pub(crate) fn detection_pct(
     Ok(report.complete()?.result.detection_rate_pct())
 }
 
-/// Run the campaigns. Injection always runs at `Tiny` size (each trial
-/// is a full simulation); `trials` faults of each kind per benchmark.
+/// Run the campaigns. Injection always runs at `Tiny` size (each chunk
+/// of trials is one full simulation); `trials` faults of each kind per
+/// benchmark.
 ///
 /// # Errors
 ///
@@ -106,7 +107,8 @@ pub fn run(
 /// One resilient campaign: `trials` faults of the given site class on
 /// one benchmark, classified against a golden run into the full
 /// masked / detected / SDC / hang taxonomy. Injection runs at `Tiny`
-/// size, like [`run`] (each trial is two full simulations).
+/// size, like [`run`] (one full simulation per chunk of trials, plus
+/// one per trial the checker did not catch).
 ///
 /// # Errors
 ///

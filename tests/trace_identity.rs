@@ -7,8 +7,15 @@
 //! changes the hash. The runs cover an idle-heavy benchmark (BFS) and an
 //! issue-dense one (RadixSort) under Warped-DMR with both scheduler
 //! policies, plus bare dual-issue runs.
+//!
+//! Single-oracle runs (`WarpedDmr::with_oracle`, `Dmtr::with_oracle`)
+//! also pin their detection logs: `errors()` total and a hash of its
+//! stored events, `DmrReport::errors_detected`, and the traced stream
+//! including its `Error` events.
 
-use warped::dmr::{DmrConfig, WarpedDmr};
+use warped::baselines::Dmtr;
+use warped::dmr::{DmrConfig, ErrorLog, LaneSite, WarpedDmr};
+use warped::faults::{CheckerFault, CompoundFault, FaultModel};
 use warped::kernels::{Benchmark, WorkloadSize};
 use warped::sim::{GpuConfig, NullObserver, SchedulerPolicy};
 use warped::trace::{jsonl, TraceEvent, TraceHandle, TraceSink};
@@ -90,5 +97,161 @@ fn traced_streams_match_recorded_hashes() {
         .map(|&(bench, gpu, protected, _)| stream_hash(bench, gpu, protected))
         .collect();
     let want: Vec<(u64, u64)> = cases.iter().map(|c| c.3).collect();
+    assert_eq!(got, want);
+}
+
+/// FNV-1a over `bytes`, continuing from `hash`.
+fn fnv(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &byte in bytes {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0100_0000_01b3);
+    }
+    hash
+}
+
+/// `(total, hash of the stored events)` of one detection log.
+fn log_hash(log: &ErrorLog) -> (u64, u64) {
+    let hash = log.events().iter().fold(0xcbf2_9ce4_8422_2325, |h, e| {
+        fnv(h, format!("{e:?}\n").as_bytes())
+    });
+    (log.total(), hash)
+}
+
+/// A single-oracle Warped-DMR run of `bench` at Tiny on
+/// `GpuConfig::small()`, traced: `(errors() total, errors() hash,
+/// errors_detected, stream events, stream hash)`.
+fn single_oracle(bench: Benchmark, oracle: CompoundFault) -> (u64, u64, u64, u64, u64) {
+    let gpu = GpuConfig::small();
+    let w = bench.build(WorkloadSize::Tiny).unwrap();
+    let (sink, handle) = TraceHandle::shared(FnvSink::default());
+    let mut engine = WarpedDmr::with_oracle(DmrConfig::default(), &gpu, Box::new(oracle));
+    engine.set_trace(handle.clone());
+    let run = w.run_traced(&gpu, &mut engine, handle.clone()).unwrap();
+    w.check(&run).unwrap();
+    handle.flush();
+    let (total, hash) = log_hash(engine.errors());
+    let s = sink.lock().unwrap();
+    (
+        total,
+        hash,
+        engine.report().errors_detected,
+        s.events,
+        s.hash,
+    )
+}
+
+#[test]
+fn single_oracle_detections_match_recorded_hashes() {
+    let site = |sm, lane| LaneSite { sm, lane };
+    let stuck = |sm, lane| FaultModel::StuckAt {
+        site: site(sm, lane),
+        bit: 8,
+        value: true,
+    };
+    let flip = |sm, lane, cycle| FaultModel::TransientFlip {
+        site: site(sm, lane),
+        cycle,
+        bit: 3,
+    };
+    let cases = [
+        // Inter-warp path only.
+        (Benchmark::MatrixMul, CompoundFault::lane_only(stuck(0, 13))),
+        // Intra- and inter-warp paths.
+        (Benchmark::Bfs, CompoundFault::lane_only(stuck(0, 5))),
+        (Benchmark::Bfs, CompoundFault::lane_only(flip(0, 5, 873))),
+        // Checker-internal sites.
+        (
+            Benchmark::Bfs,
+            CompoundFault::with_checker(
+                flip(0, 5, 873),
+                CheckerFault::RfuMuxSelect {
+                    sm: 0,
+                    cluster: 2,
+                    cluster_size: 4,
+                },
+            ),
+        ),
+        // Past the 4096-event window.
+        (
+            Benchmark::Scan,
+            CompoundFault::with_checker(
+                stuck(1, 9),
+                CheckerFault::StoredResultFlip { sm: 1, bit: 3 },
+            ),
+        ),
+        (
+            Benchmark::Scan,
+            CompoundFault::with_checker(
+                stuck(1, 9),
+                CheckerFault::ReplayqMaskDrop { sm: 1, bit: 9 },
+            ),
+        ),
+        (
+            Benchmark::Scan,
+            CompoundFault::with_checker(stuck(1, 9), CheckerFault::ComparatorStuckPass { sm: 1 }),
+        ),
+    ];
+    let got: Vec<_> = cases
+        .iter()
+        .map(|&(bench, oracle)| single_oracle(bench, oracle))
+        .collect();
+    let want = vec![
+        (
+            2616,
+            0x4194_111f_5038_9f30,
+            2616,
+            16369,
+            0x28fd_3a1e_6331_cd46,
+        ),
+        (
+            671,
+            0xa0b4_b9b3_6e3c_3200,
+            671,
+            46325,
+            0xd52f_6045_4457_4b97,
+        ),
+        (6, 0x489c_2973_a6c8_6c47, 6, 45660, 0x5014_3532_5707_593c),
+        (
+            1099,
+            0x9400_5d64_ff2d_5f28,
+            1099,
+            46753,
+            0x39a3_c5aa_ebe4_111f,
+        ),
+        (
+            6062,
+            0xec62_b4f5_91e0_c8d8,
+            6062,
+            10909,
+            0x0d73_d9da_bb5e_0a1b,
+        ),
+        (432, 0x390b_32b9_1b32_cdac, 432, 5279, 0xbfea_fea4_7ef5_976b),
+        (0, 0xcbf2_9ce4_8422_2325, 0, 4847, 0x3c8e_2874_4d1f_22ee),
+    ];
+    assert_eq!(got, want);
+}
+
+#[test]
+fn single_oracle_dmtr_detections_match_recorded_hashes() {
+    let gpu = GpuConfig::small();
+    let w = Benchmark::Scan.build(WorkloadSize::Tiny).unwrap();
+    let got: Vec<(u64, u64)> = [100, 250, 400]
+        .into_iter()
+        .map(|cycle| {
+            let oracle = FaultModel::TransientFlip {
+                site: LaneSite { sm: 0, lane: 1 },
+                cycle,
+                bit: 0,
+            };
+            let mut engine = Dmtr::with_oracle(Box::new(oracle));
+            w.run_with(&gpu, &mut engine).unwrap();
+            log_hash(engine.errors())
+        })
+        .collect();
+    let want = vec![
+        (0, 0xcbf2_9ce4_8422_2325),
+        (1, 0x010d_6b66_ac5b_fc57),
+        (0, 0xcbf2_9ce4_8422_2325),
+    ];
     assert_eq!(got, want);
 }
